@@ -35,10 +35,10 @@ from repro.experiments import (
     RadiusSpec,
     SweepResult,
     SweepSpec,
-    run_kernel,
-    run_lower_bound,
-    run_radius,
+    result_from_payload,
+    run_experiment,
 )
+from repro.service.messages import ErrorResponse, ExperimentRequest
 
 
 def measure_scheme_sizes(
@@ -108,7 +108,10 @@ def sweep_result(spec: SweepSpec) -> SweepResult:
     :mod:`repro.api` facade), so every benchmark in a session shares one set
     of warm topology/ground-truth caches and shows up in ``api.stats()``.
     """
-    result = api.default_service().run_sweep_spec(spec.validate())
+    response = api.respond(ExperimentRequest(spec=spec))
+    if isinstance(response, ErrorResponse):
+        raise RuntimeError(f"{spec.label}: [{response.code}] {response.message}")
+    result = result_from_payload(response.result)
     assert result.all_accepted, f"{spec.label}: an honest proof was rejected"
     assert result.all_sound, f"{spec.label}: an adversarial assignment was accepted"
     if result.bound is not None:
@@ -156,7 +159,7 @@ def lower_bound_result(spec: LowerBoundSpec) -> LowerBoundResult:
     the spec checks it — the Ω-bound series tracks the construction's
     expected asymptotic shape.
     """
-    result = run_lower_bound(spec)
+    result = run_experiment(spec)
     assert result.all_ok, f"{spec.label}: a dichotomy or protocol check failed"
     if result.bound is not None:
         assert result.bound.ok, (
@@ -175,7 +178,7 @@ def lower_bound_series(spec: LowerBoundSpec) -> Dict[int, float]:
 def radius_result(spec: RadiusSpec) -> RadiusResult:
     """Run a declarative radius-r verification series; every decision must
     match the instance's actual diameter."""
-    result = run_radius(spec)
+    result = run_experiment(spec)
     assert result.all_ok, (
         f"{spec.label}: the radius-{spec.effective_radius} verifier decided "
         f"some instance incorrectly"
@@ -189,7 +192,7 @@ def kernel_result(spec: KernelSpec) -> KernelResult:
     Clean means: the pruned kernel's restricted elimination tree is still a
     valid model, and every EF-game equivalence check that ran passed.
     """
-    result = run_kernel(spec)
+    result = run_experiment(spec)
     assert result.all_ok, (
         f"{spec.label}: a kernel validity or EF-equivalence check failed"
     )

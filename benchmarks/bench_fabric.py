@@ -4,7 +4,7 @@ The shard driver buys fault tolerance — deadlines, retries, dead-worker
 re-dispatch — by moving shards over the wire to a fleet of serve
 processes.  That indirection has a price, and this benchmark tracks it:
 
-* ``inline``  — ``run_sweep(spec)`` in this process, no sharding, the
+* ``inline``  — ``run_experiment(spec)`` in this process, no sharding, the
   cheapest possible execution of the workload;
 * ``fleet``   — the same spec driven over a :class:`LocalFleet` of serve
   subprocesses (one shard per member), with the fleet's startup cost
@@ -46,7 +46,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.caching import clear_caches  # noqa: E402
-from repro.experiments import canonical_payload, run_sweep  # noqa: E402
+from repro.experiments import canonical_payload, run_experiment  # noqa: E402
 from repro.experiments.spec import SweepSpec  # noqa: E402
 from repro.service.driver import LocalFleet, drive  # noqa: E402
 from repro.service.supervisor import FleetSupervisor  # noqa: E402
@@ -74,7 +74,7 @@ def canonical_bytes(result) -> str:
 def bench_inline(spec: SweepSpec) -> tuple:
     clear_caches()
     started = time.perf_counter()
-    result = run_sweep(spec)
+    result = run_experiment(spec)
     return time.perf_counter() - started, canonical_bytes(result)
 
 

@@ -22,14 +22,14 @@ Run with::
 from __future__ import annotations
 
 from repro import registry
-from repro.experiments import LowerBoundSpec, run_lower_bound
+from repro.experiments import LowerBoundSpec, run_experiment
 from repro.lower_bounds.catalog import LOWER_BOUND_CONSTRUCTIONS
 
 
 def main() -> None:
     # --- Theorem 2.5 / Lemma 7.3 ---------------------------------------------
     print("Theorem 2.5 (treedepth <= 5 needs Omega(log n) bits):")
-    small = run_lower_bound(
+    small = run_experiment(
         LowerBoundSpec(construction="treedepth", sizes=(2,), simulate=True, seed=0)
     )
     point = small.points[0]
@@ -38,7 +38,7 @@ def main() -> None:
         f"(td 5 iff matchings equal) verified = {point.dichotomy_ok}, "
         f"Alice/Bob protocol probes = {point.protocol_ok}"
     )
-    series = run_lower_bound(
+    series = run_experiment(
         LowerBoundSpec(construction="treedepth", sizes=(8, 64, 512), check_dichotomy=False)
     )
     print("  implied certificate lower bound for larger n (bits):")
@@ -51,7 +51,7 @@ def main() -> None:
 
     # --- Theorem 2.3 ----------------------------------------------------------
     print("\nTheorem 2.3 (fixed-point-free automorphism needs Omega(ell) bits):")
-    autom = run_lower_bound(
+    autom = run_experiment(
         LowerBoundSpec(construction="automorphism", sizes=(4, 8, 12), seed=7)
     )
     for p in autom.points:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import networkx as nx
 
 from repro import api, registry
-from repro.experiments import SweepSpec, run_sweep
+from repro.experiments import SweepSpec, run_experiment
 
 
 def main() -> None:
@@ -87,11 +87,11 @@ def main() -> None:
     # A SweepSpec measures a whole size series through the registry (run
     # `python -m repro.cli list` for the catalogue).  Each grid point derives
     # its own seed, so any sub-range of the sweep reproduces independently —
-    # sweeps even shard across machines (run_sweep(spec, shard=(i, k))) —
+    # sweeps even shard across machines (run_experiment(spec, shard=(i, k))) —
     # and the measured series is checked against the bound registered for
     # the scheme (here: O(log n)) and fitted for its actual growth exponent.
     spec = SweepSpec(scheme="tree", family="random-tree", sizes=(8, 32, 128), trials=10)
-    result = run_sweep(spec)
+    result = run_experiment(spec)
     print("\nsweep 'tree' over random-tree:{8,32,128}")
     for n, bits in sorted(result.series.items()):
         print(f"  n={n:>4}: {bits} bits per vertex")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 
-from repro.experiments import canonical_payload, run_sweep
+from repro.experiments import canonical_payload, run_experiment
 from repro.experiments.spec import SweepSpec
 from repro.service import (
     CertificationService,
@@ -125,7 +125,7 @@ def fault_tolerance_tour() -> None:
     # whose first member dies on its first shard.
     spec = SweepSpec(scheme="tree", family="random-tree", sizes=(6, 8, 10, 12),
                      trials=2, seed=7)
-    inline = json.dumps(canonical_payload(run_sweep(spec).to_dict()),
+    inline = json.dumps(canonical_payload(run_experiment(spec).to_dict()),
                         sort_keys=True)
     with LocalFleet(2, faults={0: ["kill:op=sweep,nth=1"]}) as addresses:
         report = drive(spec, addresses, deadline_s=60.0)

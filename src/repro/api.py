@@ -45,24 +45,20 @@ from repro.service.messages import (
     CertifyRequest,
     CertifyResponse,
     ErrorResponse,
-    FormulaRequest,
-    FormulaResponse,
+    ExperimentRequest,
+    ExperimentResponse,
     Request,
     Response,
-    StatsRequest,
-    SweepRequest,
-    SweepResponse,
+    request_from_dict,
 )
 
 __all__ = [
     "CertifyRequest",
     "CertifyResponse",
     "ErrorResponse",
-    "FormulaRequest",
-    "FormulaResponse",
+    "ExperimentRequest",
+    "ExperimentResponse",
     "ServiceError",
-    "SweepRequest",
-    "SweepResponse",
     "certify",
     "default_service",
     "formula",
@@ -164,19 +160,25 @@ def sweep(
     seed: int = 0,
     formula: Optional[str] = None,
     **kwargs: Any,
-) -> SweepResponse:
-    """Measure a whole certificate-size series through the service."""
-    request = SweepRequest(
+) -> ExperimentResponse:
+    """Measure a whole certificate-size series through the service.
+
+    Takes the fields of a wire ``sweep`` line: ``formula`` instead of
+    ``scheme`` measures an ad-hoc formula, with ``params`` carrying its
+    compilation knobs.  Malformed arguments raise
+    :class:`~repro.service.messages.ProtocolError` (a ``ValueError``).
+    """
+    return _run_line(
+        "sweep",
         scheme=scheme,
         formula=formula,
         family=family,
-        sizes=tuple(sizes),
+        sizes=list(sizes),
         params=dict(params or {}),
         trials=trials,
         seed=seed,
         **kwargs,
     )
-    return _raise_on_error(default_service().sweep(request))
 
 
 def formula(
@@ -184,16 +186,19 @@ def formula(
     family: str,
     sizes: Sequence[int],
     **kwargs: Any,
-) -> FormulaResponse:
+) -> ExperimentResponse:
     """Run a certificate-size series for an ad-hoc MSO formula.
 
-    ``kwargs`` pass through to :class:`FormulaRequest` — notably the
-    compilation knobs ``t``, ``k``, ``route`` and ``model``.
+    ``kwargs`` are further :class:`~repro.experiments.FormulaSpec` fields —
+    notably the compilation knobs ``t``, ``k``, ``route`` and ``model``.
     """
-    request = FormulaRequest(
-        formula=formula, family=family, sizes=tuple(sizes), **kwargs
-    )
-    return _raise_on_error(default_service().formula(request))
+    return _run_line("formula", formula=formula, family=family, sizes=list(sizes), **kwargs)
+
+
+def _run_line(op: str, **fields: Any) -> ExperimentResponse:
+    """Decode a legacy experiment line and answer it through the service."""
+    request = request_from_dict({"op": op, **fields})
+    return _raise_on_error(default_service().handle(request))
 
 
 def respond(request: Request) -> Response:

@@ -25,7 +25,10 @@ maximum certificate size in bits — the quantity the paper is about; with
 :class:`~repro.service.messages.CertifyRequest`, the verdict is the typed
 response's canonical JSON payload, and expected failures (unknown scheme,
 bad parameter, unresolvable graph, an undecidable ground truth) exit with a
-structured message instead of a traceback.
+structured message instead of a traceback.  The experiment commands
+(``sweep``, ``formula``, ``lower-bound``, ``kernel``) take the same front
+door: each builds a spec and sends it as one
+:class:`~repro.service.messages.ExperimentRequest`.
 
 Serving certification
 ---------------------
@@ -109,6 +112,7 @@ import networkx as nx
 
 from repro import api
 from repro.experiments import (
+    ExperimentResult,
     ExperimentSpec,
     FormulaSpec,
     KernelSpec,
@@ -119,13 +123,11 @@ from repro.experiments import (
     load_artifact,
     merge_artifacts,
     render_experiments_md,
-    run_formula,
-    run_kernel,
-    run_lower_bound,
-    run_sweep,
+    result_from_payload,
     write_artifact,
     write_baseline,
 )
+from repro.experiments.results import artifact_patterns
 from repro.formulas import FormulaError, resolve_formula_params
 from repro.engines import VALID_ENGINES
 from repro.lower_bounds.catalog import LOWER_BOUND_CONSTRUCTIONS
@@ -140,7 +142,7 @@ from repro.service.core import CertificationService
 from repro.service.driver import DriverError, LocalFleet, ShardDriver
 from repro.service.faults import FaultInjector, FaultSpecError
 from repro.service.supervisor import FleetSupervisor
-from repro.service.messages import CertifyRequest, ErrorResponse
+from repro.service.messages import CertifyRequest, ErrorResponse, ExperimentRequest
 from repro.service.protocol import DEFAULT_MAX_REQUEST_BYTES, serve_stdio, serve_tcp
 
 
@@ -386,73 +388,60 @@ def _print_bound(result) -> None:
               f"ok={result.bound.ok} (spread {spread} <= slack {result.bound.slack})")
 
 
-def _formula_spec_from_args(
-    args: argparse.Namespace, knobs: Dict[str, str]
-) -> FormulaSpec:
-    """Build a validated :class:`FormulaSpec` from CLI arguments + knobs."""
+def _print_result(result: ExperimentResult, path: Path) -> None:
+    _print_bound(result)
+    _print_fit(result)
+    print(f"artifact:   {path}")
+
+
+def run_spec(args: argparse.Namespace, spec: ExperimentSpec) -> int:
+    """The one body of the experiment commands.
+
+    The spec goes through the service's front door in-process (the path
+    ``certify`` takes), so a failure exits with the service's structured
+    message instead of a traceback; the artifact is written from the
+    response payload, and the exit status is the result's clean verdict.
+    """
+    response = api.respond(ExperimentRequest(spec=spec))
+    if isinstance(response, ErrorResponse):
+        raise SystemExit(f"error: {response.message}")
+    result = result_from_payload(response.result)
+    path = write_artifact(
+        result, args.output or spec.artifact_name(), canonical=args.canonical
+    )
+    shard_note = (
+        f", shard {spec.shard[0]}/{spec.shard[1]}" if spec.shard is not None else ""
+    )
+    print(f"{spec.kind + ':':<11} {spec.label} ({len(result.points)} points{shard_note})")
+    for point in result.points:
+        print(f"  {point.describe()}")
+    _print_result(result, path)
+    return 0 if result.clean else 1
+
+
+def _formula_spec(args: argparse.Namespace, knobs: Dict[str, str]) -> FormulaSpec:
+    """A :class:`FormulaSpec` from CLI arguments plus compilation knobs."""
     try:
-        resolved = resolve_formula_params(knobs)
         return FormulaSpec(
             formula=args.formula,
             family=args.family,
             sizes=parse_sizes(args.sizes),
-            t=resolved["t"],
-            k=resolved["k"],
-            route=resolved["route"],
-            model=resolved["model"],
+            **resolve_formula_params(knobs),
             trials=args.trials,
             seed=args.seed,
             engine=args.engine,
             check_bound=not args.no_bound_check,
             shard=parse_shard(args.shard),
             name=args.name,
-        ).validate()
-    except (FormulaError, RegistryError, ValueError) as error:
-        raise SystemExit(f"error: {error}") from error
-
-
-def _run_formula_series(args: argparse.Namespace, spec: FormulaSpec) -> int:
-    """Run a formula series, print it, write ``formula_<label>.json``."""
-    try:
-        result = run_formula(spec)
-    except GraphSpecError as error:
-        raise SystemExit(f"error: {error}") from error
-    if args.output:
-        output = args.output
-    elif spec.shard is not None:
-        output = f"formula_{spec.label}.shard{spec.shard[0]}of{spec.shard[1]}.json"
-    else:
-        output = f"formula_{spec.label}.json"
-    path = write_artifact(result, output, canonical=args.canonical)
-
-    shard_note = (
-        f", shard {spec.shard[0]}/{spec.shard[1]}" if spec.shard is not None else ""
-    )
-    print(f"formula:    {spec.label} ({len(result.points)} instances, "
-          f"route={spec.route}, t={spec.t}, engine={spec.engine}{shard_note})")
-    print(f"sentence:   {spec.formula}")
-    for point in result.points:
-        status = (
-            f"accepted={point.completeness_ok}"
-            if point.holds
-            else f"holds=False sound={point.soundness_ok}"
         )
-        print(f"  {point.graph:<22} n={point.vertices:<6} "
-              f"{point.max_certificate_bits:>6} bits  {status}  ({point.elapsed_s:.3f}s)")
-    _print_bound(result)
-    _print_fit(result)
-    print(f"artifact:   {path}")
-
-    ok = result.all_accepted and result.all_sound
-    if result.bound is not None:
-        ok = ok and result.bound.ok
-    return 0 if ok else 1
+    except (FormulaError, ValueError) as error:
+        raise SystemExit(f"error: {error}") from error
 
 
 def cmd_formula(args: argparse.Namespace) -> int:
     """Compile an MSO sentence and measure its certificate-size series."""
     knobs = {"t": args.t, "k": args.k, "route": args.route, "model": args.model}
-    return _run_formula_series(args, _formula_spec_from_args(args, knobs))
+    return run_spec(args, _formula_spec(args, knobs))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -465,114 +454,44 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise SystemExit("error: formula sweeps only support --measure full")
         if args.id_exponent is not None:
             raise SystemExit("error: formula sweeps do not support --id-exponent")
-        return _run_formula_series(
-            args, _formula_spec_from_args(args, parse_raw_params(args.param))
-        )
+        return run_spec(args, _formula_spec(args, parse_raw_params(args.param)))
     if args.scheme is None:
         raise SystemExit("error: one of --scheme or --formula is required")
     try:
-        spec = SweepSpec(
-            scheme=args.scheme,
-            family=args.family,
-            sizes=parse_sizes(args.sizes),
-            params=parse_params(args.param, args.scheme),
-            trials=args.trials,
-            seed=args.seed,
-            engine=args.engine,
-            processes=args.processes,
-            check_bound=not args.no_bound_check,
-            measure=args.measure,
-            id_exponent=args.id_exponent,
-            shard=parse_shard(args.shard),
-            name=args.name,
-        ).validate()
+        params = parse_params(args.param, args.scheme)
     except RegistryError as error:
         raise SystemExit(f"error: {error}") from error
-
-    try:
-        result = run_sweep(spec)
-    except GraphSpecError as error:
-        # validate() checks sizes are positive, but families may impose
-        # stricter minimums (a cycle needs 3 vertices, ...).
-        raise SystemExit(f"error: {error}") from error
-    if args.output:
-        output = args.output
-    elif spec.shard is not None:
-        output = f"sweep_{spec.label}.shard{spec.shard[0]}of{spec.shard[1]}.json"
-    else:
-        output = f"sweep_{spec.label}.json"
-    path = write_artifact(result, output, canonical=args.canonical)
-
-    info = spec.info
-    shard_note = (
-        f", shard {spec.shard[0]}/{spec.shard[1]}" if spec.shard is not None else ""
+    spec = SweepSpec(
+        scheme=args.scheme,
+        family=args.family,
+        sizes=parse_sizes(args.sizes),
+        params=params,
+        trials=args.trials,
+        seed=args.seed,
+        engine=args.engine,
+        processes=args.processes,
+        check_bound=not args.no_bound_check,
+        measure=args.measure,
+        id_exponent=args.id_exponent,
+        shard=parse_shard(args.shard),
+        name=args.name,
     )
-    print(f"sweep:      {spec.label} ({len(result.points)} instances, "
-          f"engine={spec.engine}, processes={spec.processes}{shard_note})")
-    print(f"scheme:     {info.key} — {info.summary}")
-    for point in result.points:
-        status = (
-            f"accepted={point.completeness_ok}"
-            if point.holds
-            else f"holds=False sound={point.soundness_ok}"
-        )
-        print(f"  {point.graph:<22} n={point.vertices:<6} "
-              f"{point.max_certificate_bits:>6} bits  {status}  ({point.elapsed_s:.3f}s)")
-    _print_bound(result)
-    _print_fit(result)
-    print(f"artifact:   {path}")
-
-    ok = result.all_accepted and result.all_sound
-    if result.bound is not None:
-        ok = ok and result.bound.ok
-    return 0 if ok else 1
+    return run_spec(args, spec)
 
 
 def cmd_lower_bound(args: argparse.Namespace) -> int:
-    try:
-        spec = LowerBoundSpec(
-            construction=args.construction,
-            sizes=parse_sizes(args.sizes),
-            check_dichotomy=not args.no_dichotomy,
-            simulate=args.simulate,
-            engine=args.engine,
-            check_bound=not args.no_bound_check,
-            seed=args.seed,
-            shard=parse_shard(args.shard),
-            name=args.name,
-        ).validate()
-    except RegistryError as error:
-        raise SystemExit(f"error: {error}") from error
-
-    result = run_lower_bound(spec)
-    if args.output:
-        output = args.output
-    elif spec.shard is not None:
-        output = f"lb_{spec.label}.shard{spec.shard[0]}of{spec.shard[1]}.json"
-    else:
-        output = f"lb_{spec.label}.json"
-    path = write_artifact(result, output, canonical=args.canonical)
-
-    info = spec.info
-    print(f"lower bound: {spec.label} ({len(result.points)} grid points)")
-    print(f"construction: {info.key} — {info.summary} [{info.paper}]")
-    for point in result.points:
-        checks = []
-        if point.dichotomy_ok is not None:
-            checks.append(f"dichotomy={point.dichotomy_ok}")
-        if point.protocol_ok is not None:
-            checks.append(f"protocol={point.protocol_ok}")
-        extra = f"  {' '.join(checks)}" if checks else ""
-        print(f"  size={point.size:<6} ell={point.ell:<6} r={point.r:<6} "
-              f"bound {point.bound_bits:>8.2f} bits{extra}  ({point.elapsed_s:.3f}s)")
-    _print_bound(result)
-    _print_fit(result)
-    print(f"artifact:   {path}")
-
-    ok = result.all_ok
-    if result.bound is not None:
-        ok = ok and result.bound.ok
-    return 0 if ok else 1
+    spec = LowerBoundSpec(
+        construction=args.construction,
+        sizes=parse_sizes(args.sizes),
+        check_dichotomy=not args.no_dichotomy,
+        simulate=args.simulate,
+        engine=args.engine,
+        check_bound=not args.no_bound_check,
+        seed=args.seed,
+        shard=parse_shard(args.shard),
+        name=args.name,
+    )
+    return run_spec(args, spec)
 
 
 def parse_fleet_fault(raw: str) -> tuple:
@@ -589,55 +508,25 @@ def parse_fleet_fault(raw: str) -> tuple:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    try:
-        spec = KernelSpec(
-            family=args.family,
-            sizes=parse_sizes(args.sizes),
-            k=args.k,
-            model=args.model,
-            check_ef=args.check_ef,
-            seed=args.seed,
-            engine=args.engine,
-            shard=parse_shard(args.shard),
-            name=args.name,
-        ).validate()
-    except RegistryError as error:
-        raise SystemExit(f"error: {error}") from error
-
-    try:
-        result = run_kernel(spec)
-    except GraphSpecError as error:
-        raise SystemExit(f"error: {error}") from error
-    if args.output:
-        output = args.output
-    elif spec.shard is not None:
-        output = f"kernel_{spec.label}.shard{spec.shard[0]}of{spec.shard[1]}.json"
-    else:
-        output = f"kernel_{spec.label}.json"
-    path = write_artifact(result, output, canonical=args.canonical)
-
-    shard_note = (
-        f", shard {spec.shard[0]}/{spec.shard[1]}" if spec.shard is not None else ""
+    spec = KernelSpec(
+        family=args.family,
+        sizes=parse_sizes(args.sizes),
+        k=args.k,
+        model=args.model,
+        check_ef=args.check_ef,
+        seed=args.seed,
+        engine=args.engine,
+        shard=parse_shard(args.shard),
+        name=args.name,
     )
-    print(f"kernel:     {spec.label} ({len(result.points)} instances, "
-          f"k={spec.k}, model={spec.model}{shard_note})")
-    for point in result.points:
-        checks = [f"valid={point.valid_model}"]
-        if point.ef_ok is not None:
-            checks.append(f"ef={point.ef_ok}")
-        print(f"  {point.graph:<22} n={point.vertices:<6} depth={point.depth:<4} "
-              f"kernel {point.kernel_size:>5} vertices ({point.pruned} pruned)  "
-              f"{' '.join(checks)}  ({point.elapsed_s:.3f}s)")
-    _print_fit(result)
-    print(f"artifact:   {path}")
-    return 0 if result.all_ok else 1
+    return run_spec(args, spec)
 
 
 def cmd_shard_drive(args: argparse.Namespace) -> int:
     """Drive one experiment sharded across a fleet of serve processes.
 
     The experiment comes from a JSON spec file (the ``to_dict`` form of a
-    sweep or lower-bound spec, ``kind`` included).  Workers are either an
+    spec of any experiment kind, ``kind`` included).  Workers are either an
     explicit ``--worker HOST:PORT`` list of already-running serve processes
     or a ``--fleet N`` of freshly spawned local ones; the driver survives
     worker deaths as long as one worker remains, and the merged artifact is
@@ -716,11 +605,9 @@ def cmd_shard_drive(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: {error}") from error
 
     merged = report.result
-    prefix = {"sweep": "sweep", "lower-bound": "lb", "radius": "radius"}.get(
-        spec.kind, spec.kind
+    path = write_artifact(
+        merged, args.output or spec.artifact_name(), canonical=args.canonical
     )
-    output = args.output or f"{prefix}_{spec.label}.json"
-    path = write_artifact(merged, output, canonical=args.canonical)
 
     print(f"drive:      {spec.label} ({spec.kind}), {report.shards} shard(s) "
           f"across {len(set(report.assignments.values()))} worker(s)")
@@ -741,18 +628,8 @@ def cmd_shard_drive(args: argparse.Namespace) -> int:
             f"{report.points_salvaged} point(s) salvaged, "
             f"{report.points_redispatched} re-dispatched"
         )
-    _print_bound(merged)
-    _print_fit(merged)
-    print(f"artifact:   {path}")
-
-    ok = (
-        (merged.all_accepted and merged.all_sound)
-        if hasattr(merged, "all_accepted")
-        else merged.all_ok
-    )
-    if merged.bound is not None:
-        ok = ok and merged.bound.ok
-    return 0 if ok else 1
+    _print_result(merged, path)
+    return 0 if merged.clean else 1
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
@@ -765,19 +642,10 @@ def cmd_merge(args: argparse.Namespace) -> int:
     print(f"merged:     {len(parts)} partial artifact(s), "
           f"{len(merged.points)} grid points")
     print(f"experiment: {merged.spec.label} ({merged.kind})")
-    _print_bound(merged)
-    _print_fit(merged)
-    print(f"artifact:   {path}")
+    _print_result(merged, path)
     # Same exit contract as the commands that produced the shards: a merged
     # run that is unclean or out of its registered band fails.
-    ok = (
-        (merged.all_accepted and merged.all_sound)
-        if hasattr(merged, "all_accepted")
-        else merged.all_ok
-    )
-    if merged.bound is not None:
-        ok = ok and merged.bound.ok
-    return 0 if ok else 1
+    return 0 if merged.clean else 1
 
 
 def cmd_results(args: argparse.Namespace) -> int:
@@ -787,8 +655,7 @@ def cmd_results(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: {error}") from error
     if not artifacts:
         raise SystemExit(f"error: no experiment artifacts found under {args.dir!r} "
-                         f"(looked for sweep_*.json, lb_*.json, radius_*.json, "
-                         f"kernel_*.json, formula_*.json)")
+                         f"(looked for {', '.join(artifact_patterns())})")
 
     labels = [result.spec.label for _, result in artifacts]
     for label in sorted({l for l in labels if labels.count(l) > 1}):
@@ -816,15 +683,7 @@ def cmd_results(args: argparse.Namespace) -> int:
         print(table)
 
     status = 0
-    unclean = [
-        result.spec.label
-        for _, result in artifacts
-        if not (
-            (result.all_accepted and result.all_sound)
-            if hasattr(result, "all_accepted")
-            else result.all_ok
-        )
-    ]
+    unclean = [result.spec.label for _, result in artifacts if not result.all_ok]
     for label in unclean:
         print(f"UNCLEAN: {label} has a failed completeness/soundness/dichotomy check")
     violated = [
@@ -966,7 +825,8 @@ def main(argv: Optional[list] = None) -> int:
     sweep.add_argument("--seed", type=int, default=0, help="sweep seed (per-point seeds derive from it)")
     sweep.add_argument("--engine", choices=VALID_ENGINES, default="auto")
     sweep.add_argument("--processes", type=int, default=1, help="worker processes for the fan-out")
-    sweep.add_argument("--output", default=None, help="artifact path (default sweep_<label>.json)")
+    sweep.add_argument("--output", default=None,
+                     help=f"artifact path (default {SweepSpec.artifact_prefix}_<label>.json)")
     sweep.add_argument("--name", default=None, help="label stored in the artifact")
     sweep.add_argument(
         "--no-bound-check",
@@ -1036,7 +896,8 @@ def main(argv: Optional[list] = None) -> int:
         "lane blocks per prover message (vector), or let the planner "
         "pick per point (auto, default)",
     )
-    lower_bound.add_argument("--output", default=None, help="artifact path (default lb_<label>.json)")
+    lower_bound.add_argument("--output", default=None,
+                           help=f"artifact path (default {LowerBoundSpec.artifact_prefix}_<label>.json)")
     lower_bound.add_argument("--name", default=None, help="label stored in the artifact")
     lower_bound.add_argument(
         "--no-bound-check",
@@ -1084,7 +945,8 @@ def main(argv: Optional[list] = None) -> int:
         help="accepted for spec/CLI uniformity (kernel points run no "
         "verification engine); a mis-typed engine still fails fast",
     )
-    kernel.add_argument("--output", default=None, help="artifact path (default kernel_<label>.json)")
+    kernel.add_argument("--output", default=None,
+                      help=f"artifact path (default {KernelSpec.artifact_prefix}_<label>.json)")
     kernel.add_argument("--name", default=None, help="label stored in the artifact")
     kernel.add_argument("--shard", default=None, metavar="I/K", help="as for sweep")
     kernel.add_argument("--canonical", action="store_true", help="as for sweep")
@@ -1132,7 +994,8 @@ def main(argv: Optional[list] = None) -> int:
     formula.add_argument("--trials", type=int, default=20, help="adversarial trials per no-instance")
     formula.add_argument("--seed", type=int, default=0, help="series seed (per-point seeds derive from it)")
     formula.add_argument("--engine", choices=VALID_ENGINES, default="auto")
-    formula.add_argument("--output", default=None, help="artifact path (default formula_<label>.json)")
+    formula.add_argument("--output", default=None,
+                       help=f"artifact path (default {FormulaSpec.artifact_prefix}_<label>.json)")
     formula.add_argument("--name", default=None, help="label stored in the artifact")
     formula.add_argument(
         "--no-bound-check",

@@ -1,18 +1,19 @@
 """Experiment results as structured, JSON-serialisable artifacts.
 
-Every experiment kind (sweep, lower-bound, radius) produces a result object
-deriving from :class:`ExperimentResult`; the artifact on disk is its
-``to_dict`` plus a schema version and a ``kind`` tag, so
-:func:`load_artifact` can re-hydrate any artifact without being told what it
-holds.  All results carry the same two bound judgements:
+Every experiment kind (sweep, formula, lower-bound, radius, kernel)
+produces a result object deriving from :class:`ExperimentResult`; the
+artifact on disk is its ``to_dict`` plus a schema version and a ``kind``
+tag, so :func:`load_artifact` can re-hydrate any artifact without being told
+what it holds.  All results carry the same two bound judgements:
 
 * ``bound`` — the closed-form :class:`BoundCheck` verdict against the
-  registered :class:`~repro.registry.SizeBound` envelope, and
+  spec's :meth:`~repro.experiments.spec.ExperimentSpec.envelope`, and
 * ``fit`` — the measured :class:`~repro.experiments.bounds.FittedBound`
   regression exponent of the series,
 
 which is what lets the ``results`` aggregation print upper- and lower-bound
-series in one uniform table.
+series in one uniform table, and the same :attr:`ExperimentResult.clean`
+verdict decides every command's exit status.
 
 Sharded runs write partial artifacts (their spec records the shard);
 :func:`merge_artifacts` stitches the shards of one experiment back into the
@@ -26,10 +27,10 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, ClassVar, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, ClassVar, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.experiments.bounds import FittedBound, fit_series
-from repro.experiments.spec import ExperimentSpec, SweepSpec
+from repro.experiments.spec import ExperimentPoint, ExperimentSpec, SweepPoint
 
 #: Bumped whenever the artifact layout changes incompatibly.  Schema 2 added
 #: the ``kind`` tag and the fitted-bound record; schema-1 artifacts (sweeps
@@ -37,36 +38,6 @@ from repro.experiments.spec import ExperimentSpec, SweepSpec
 ARTIFACT_SCHEMA = 2
 
 _READABLE_SCHEMAS = (1, 2)
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """The measured outcome of one grid point of a sweep."""
-
-    index: int
-    n: int
-    """The requested family size (the grid coordinate)."""
-    graph: str
-    """The resolved ``family:size`` specifier."""
-    vertices: int
-    edges: int
-    seed: int
-    """The derived per-point seed (identifiers + adversarial schedule)."""
-    holds: bool
-    completeness_ok: Optional[bool]
-    soundness_ok: Optional[bool]
-    max_certificate_bits: int
-    elapsed_s: float
-    engine_resolved: Optional[str] = None
-    """Concrete engine the point's evaluation actually ran on (None for
-    honest-prover-only points and pre-planner artifacts)."""
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepPoint":
-        return cls(**dict(data))
 
 
 @dataclass(frozen=True)
@@ -111,17 +82,24 @@ class BoundCheck:
         )
 
 
+@dataclass(frozen=True)
 class ExperimentResult:
-    """Base class of experiment results; subclasses register by ``kind``.
+    """A finished experiment (or shard of one): its spec, points and verdicts.
 
-    A subclass must be a dataclass with at least ``spec``, ``points``,
-    ``bound`` and ``fit`` fields, a ``series`` property mapping grid size to
-    the measured quantity, and a ``merged_from_points`` classmethod that
-    re-finalises (bound check + fit) a merged point set.
+    Kinds subclass this, registering under their ``kind`` with the
+    ``point_class`` their points re-hydrate into, and define ``series``
+    (grid size → measured quantity) and ``all_ok`` (every per-point check
+    passed); serialisation, merging and the clean verdict are shared.
     """
 
     kind: ClassVar[str] = ""
+    point_class: ClassVar[type] = ExperimentPoint
     _KINDS: ClassVar[Dict[str, type]] = {}
+
+    spec: ExperimentSpec
+    points: Tuple[Any, ...]
+    bound: Optional[BoundCheck] = None
+    fit: Optional[FittedBound] = None
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -141,30 +119,66 @@ class ExperimentResult:
                 f"unknown artifact kind {kind!r}; known kinds: {sorted(cls._KINDS)}"
             ) from None
 
+    @property
+    def series(self) -> Dict[int, float]:  # pragma: no cover - kinds override
+        raise NotImplementedError
 
-def check_series_bound(spec: SweepSpec, series: Mapping[int, float]) -> BoundCheck:
-    """Check a measured yes-instance series against the registered bound.
+    @property
+    def all_ok(self) -> bool:  # pragma: no cover - kinds override
+        raise NotImplementedError
 
-    ``series`` is the n → bits mapping of :attr:`SweepResult.series`.
-    Bounds whose envelope reads scheme parameters (``t``, ``k``) evaluate
-    them at the largest grid size — with ``$n``-templated parameters the
-    envelope is conservative for smaller points, which only widens the
-    allowed band.
-    """
-    params = spec.resolved_params(max(spec.sizes))
-    return BoundCheck.from_check(*spec.info.bound.check_series(series, params))
+    @property
+    def clean(self) -> bool:
+        """The exit verdict of every experiment command: every per-point
+        check passed and the series stayed inside its asymptotic band."""
+        return self.all_ok and (self.bound is None or self.bound.ok)
+
+    def _flags(self) -> Dict[str, bool]:
+        """The per-point verdict flags the artifact records."""
+        return {"all_ok": self.all_ok}
+
+    @classmethod
+    def merged_from_points(
+        cls, spec: ExperimentSpec, points: Tuple[Any, ...]
+    ) -> "ExperimentResult":
+        """Finalise a point set: bound check against the spec's envelope, fit."""
+        result = cls(spec=spec, points=points)
+        envelope = spec.envelope()
+        bound = None
+        if envelope is not None:
+            size_bound, params = envelope
+            bound = BoundCheck.from_check(*size_bound.check_series(result.series, params))
+        return replace(result, bound=bound, fit=fit_series(result.series))
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "schema": ARTIFACT_SCHEMA,
+            "kind": self.kind,
+            "spec": self.spec.to_dict(),
+            "points": [point.to_dict() for point in self.points],
+            "series": {str(n): value for n, value in sorted(self.series.items())},
+            **self._flags(),
+            "bound": self.bound.to_dict() if self.bound is not None else None,
+            "fit": self.fit.to_dict() if self.fit is not None else None,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentResult":
+        bound = data.get("bound")
+        fit = data.get("fit")
+        return cls(
+            spec=ExperimentSpec._KINDS[cls.kind].from_dict(data["spec"]),
+            points=tuple(cls.point_class.from_dict(p) for p in data["points"]),
+            bound=BoundCheck.from_dict(bound) if bound is not None else None,
+            fit=FittedBound.from_dict(fit) if fit is not None else None,
+        )
 
 
-@dataclass(frozen=True)
 class SweepResult(ExperimentResult):
-    """Everything :func:`repro.experiments.runner.run_sweep` produces."""
+    """Everything a :class:`~repro.experiments.spec.SweepSpec` run produces."""
 
     kind: ClassVar[str] = "sweep"
-
-    spec: SweepSpec
-    points: Tuple[SweepPoint, ...]
-    bound: Optional[BoundCheck] = None
-    fit: Optional[FittedBound] = None
+    point_class: ClassVar[type] = SweepPoint
 
     @property
     def series(self) -> Dict[int, int]:
@@ -197,37 +211,12 @@ class SweepResult(ExperimentResult):
         """
         return all(point.soundness_ok is not False for point in self.points if not point.holds)
 
-    @classmethod
-    def merged_from_points(
-        cls, spec: SweepSpec, points: Tuple[SweepPoint, ...]
-    ) -> "SweepResult":
-        result = cls(spec=spec, points=points)
-        bound = check_series_bound(spec, result.series) if spec.check_bound else None
-        return replace(result, bound=bound, fit=fit_series(result.series))
+    @property
+    def all_ok(self) -> bool:
+        return self.all_accepted and self.all_sound
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": ARTIFACT_SCHEMA,
-            "kind": self.kind,
-            "spec": self.spec.to_dict(),
-            "points": [point.to_dict() for point in self.points],
-            "series": {str(n): bits for n, bits in sorted(self.series.items())},
-            "all_accepted": self.all_accepted,
-            "all_sound": self.all_sound,
-            "bound": self.bound.to_dict() if self.bound is not None else None,
-            "fit": self.fit.to_dict() if self.fit is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepResult":
-        bound = data.get("bound")
-        fit = data.get("fit")
-        return cls(
-            spec=SweepSpec.from_dict(data["spec"]),
-            points=tuple(SweepPoint.from_dict(p) for p in data["points"]),
-            bound=BoundCheck.from_dict(bound) if bound is not None else None,
-            fit=FittedBound.from_dict(fit) if fit is not None else None,
-        )
+    def _flags(self) -> Dict[str, bool]:
+        return {"all_accepted": self.all_accepted, "all_sound": self.all_sound}
 
 
 def canonical_payload(data: Mapping[str, Any]) -> Dict[str, Any]:
@@ -267,7 +256,7 @@ def result_from_payload(data: Mapping[str, Any]) -> ExperimentResult:
     """Re-hydrate an experiment result from its artifact payload.
 
     The payload is exactly what :meth:`ExperimentResult.to_dict` produced —
-    whether it came from a file, a ``sweep``/``lower-bound`` wire response
+    whether it came from a file, an experiment wire response
     (the shard driver's path), or an in-memory round-trip.
     """
     schema = data.get("schema")

@@ -10,8 +10,8 @@ builds the family instance, compiles the formula (one cache miss per
 process, hits afterwards) and runs the full evaluation harness —
 planner-routed across all four engines like any catalogue sweep.
 
-Like every experiment kind, formula runs shard (``shard=(i, j)`` with
-global indices and seeds) and write the same artifact envelope, so
+Points are :class:`~repro.experiments.spec.SweepPoint` s and the result is a
+:class:`~repro.experiments.artifacts.SweepResult` under its own kind, so
 ``merge_artifacts``, the ``results`` aggregation and the benchmark
 regression gate treat a formula series exactly like a catalogue
 certificate-size series.
@@ -19,18 +19,13 @@ certificate-size series.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
-from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
-from repro.core.scheme import evaluate_scheme
-from repro.engines import validate_engine
-from repro.experiments.artifacts import ARTIFACT_SCHEMA, BoundCheck, ExperimentResult
-from repro.experiments.bounds import FittedBound, fit_series
-from repro.experiments.spec import ExperimentSpec, raise_if_stopped
+from repro.experiments.artifacts import SweepResult
+from repro.experiments.spec import ExperimentSpec, SweepPoint, harness_point
 from repro.formulas import CompiledFormula, compile_formula
-from repro.graphs.generators import GRAPH_FAMILIES, build_graph_spec
-from repro.registry import RegistryError
+from repro.registry import SizeBound
 
 
 @dataclass(frozen=True)
@@ -48,6 +43,7 @@ class FormulaSpec(ExperimentSpec):
 
     kind: ClassVar[str] = "formula"
     _REQUIRED: ClassVar[Tuple[str, ...]] = ("formula", "family", "sizes")
+    artifact_prefix: ClassVar[str] = "formula"
 
     formula: str
     family: str
@@ -64,8 +60,9 @@ class FormulaSpec(ExperimentSpec):
     name: Optional[str] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "shard", self._normalize_shard(self.shard))
+        if not isinstance(self.formula, str) or not self.formula.strip():
+            raise ValueError("formula must be a non-empty string")
+        super().__post_init__()
 
     def compiled(self) -> CompiledFormula:
         """Compile (or fetch from the cache) this spec's formula."""
@@ -80,179 +77,24 @@ class FormulaSpec(ExperimentSpec):
         everything else raises :class:`~repro.registry.RegistryError`, like
         every other spec kind.
         """
-        if self.family not in GRAPH_FAMILIES:
-            raise RegistryError(
-                f"unknown graph family {self.family!r}; choose from {sorted(GRAPH_FAMILIES)}"
-            )
-        self._validate_grid()
-        if self.trials < 0:
-            raise RegistryError("trials must be non-negative")
-        try:
-            validate_engine(self.engine, context="formula specs")
-        except ValueError as exc:
-            raise RegistryError(str(exc)) from None
+        super().validate()
         self.compiled()  # FormulaError on parse/compile problems
         return self
 
-    def graph_spec(self, index: int) -> str:
-        return f"{self.family}:{self.sizes[index]}"
+    def run_point(self, index: int) -> SweepPoint:
+        return harness_point(self, index, self.compiled().scheme)
+
+    def envelope(self) -> Optional[Tuple[SizeBound, Dict[str, Any]]]:
+        if not self.check_bound:
+            return None
+        compiled = self.compiled()
+        return compiled.bound, {"t": self.t, "k": compiled.k}
 
     def _default_label(self) -> str:
         return f"formula-{self.route}-{self.family}"
 
 
-@dataclass(frozen=True)
-class FormulaPoint:
-    """The measured outcome of one grid point of a formula series.
-
-    Field-for-field the shape of :class:`~repro.experiments.artifacts.
-    SweepPoint`, so formula artifacts read like sweep artifacts.
-    """
-
-    index: int
-    n: int
-    graph: str
-    vertices: int
-    edges: int
-    seed: int
-    holds: bool
-    completeness_ok: Optional[bool]
-    soundness_ok: Optional[bool]
-    max_certificate_bits: int
-    elapsed_s: float
-    engine_resolved: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FormulaPoint":
-        return cls(**dict(data))
-
-
-@dataclass(frozen=True)
-class FormulaResult(ExperimentResult):
-    """Everything :func:`run_formula` produces."""
+class FormulaResult(SweepResult):
+    """Everything a :class:`FormulaSpec` run produces."""
 
     kind: ClassVar[str] = "formula"
-
-    spec: FormulaSpec
-    points: Tuple[FormulaPoint, ...]
-    bound: Optional[BoundCheck] = None
-    fit: Optional[FittedBound] = None
-
-    @property
-    def series(self) -> Dict[int, int]:
-        """Measured honest-certificate bits per size, yes-instances only."""
-        series: Dict[int, int] = {}
-        for point in self.points:
-            if point.holds:
-                series[point.n] = max(series.get(point.n, 0), point.max_certificate_bits)
-        return series
-
-    @property
-    def all_accepted(self) -> bool:
-        """No yes-instance's honest proof was rejected."""
-        return all(point.completeness_ok is not False for point in self.points if point.holds)
-
-    @property
-    def all_sound(self) -> bool:
-        """No no-instance's sampled adversarial assignment was accepted."""
-        return all(point.soundness_ok is not False for point in self.points if not point.holds)
-
-    @property
-    def all_ok(self) -> bool:
-        return self.all_accepted and self.all_sound
-
-    @classmethod
-    def merged_from_points(
-        cls, spec: FormulaSpec, points: Tuple[FormulaPoint, ...]
-    ) -> "FormulaResult":
-        result = cls(spec=spec, points=points)
-        bound: Optional[BoundCheck] = None
-        if spec.check_bound:
-            compiled = spec.compiled()
-            ok, detail = compiled.bound.check_series(
-                result.series, {"t": spec.t, "k": compiled.k}
-            )
-            bound = BoundCheck.from_check(ok, detail)
-        return replace(result, bound=bound, fit=fit_series(result.series))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": ARTIFACT_SCHEMA,
-            "kind": self.kind,
-            "spec": self.spec.to_dict(),
-            "points": [point.to_dict() for point in self.points],
-            "series": {str(n): bits for n, bits in sorted(self.series.items())},
-            "all_accepted": self.all_accepted,
-            "all_sound": self.all_sound,
-            "bound": self.bound.to_dict() if self.bound is not None else None,
-            "fit": self.fit.to_dict() if self.fit is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FormulaResult":
-        bound = data.get("bound")
-        fit = data.get("fit")
-        return cls(
-            spec=FormulaSpec.from_dict(data["spec"]),
-            points=tuple(FormulaPoint.from_dict(p) for p in data["points"]),
-            bound=BoundCheck.from_dict(bound) if bound is not None else None,
-            fit=FittedBound.from_dict(fit) if fit is not None else None,
-        )
-
-
-def run_formula_point(spec: FormulaSpec, index: int) -> FormulaPoint:
-    """Run one grid point of a formula series (reproducible in isolation)."""
-    size = spec.sizes[index]
-    point_seed = spec.point_seed(index)
-    graph_spec = spec.graph_spec(index)
-    graph = build_graph_spec(graph_spec, seed=point_seed)
-    compiled = spec.compiled()
-    started = time.perf_counter()
-    evaluation = evaluate_scheme(
-        compiled.scheme,
-        graph,
-        seed=point_seed,
-        adversarial_trials=spec.trials,
-        engine=spec.engine,
-    )
-    return FormulaPoint(
-        index=index,
-        n=size,
-        graph=graph_spec,
-        vertices=graph.number_of_nodes(),
-        edges=graph.number_of_edges(),
-        seed=point_seed,
-        holds=evaluation.holds,
-        completeness_ok=evaluation.completeness_ok,
-        soundness_ok=evaluation.soundness_ok,
-        max_certificate_bits=evaluation.max_certificate_bits,
-        elapsed_s=time.perf_counter() - started,
-        engine_resolved=evaluation.engine_resolved,
-    )
-
-
-def run_formula(
-    spec: FormulaSpec,
-    shard: Optional[Tuple[int, int]] = None,
-    should_stop: Optional[Callable[[], Any]] = None,
-    on_point: Optional[Callable[[FormulaPoint], None]] = None,
-) -> FormulaResult:
-    """Execute a formula certificate-size series (or one shard of it).
-
-    ``should_stop`` is the cooperative stop-check of
-    :func:`repro.experiments.spec.raise_if_stopped`, consulted between grid
-    points so service deadlines and cancels interrupt long series.
-    """
-    if shard is not None:
-        spec = replace(spec, shard=shard)
-    spec.validate()
-    points = []
-    for index in spec.shard_indices():
-        raise_if_stopped(should_stop)
-        points.append(run_formula_point(spec, index))
-        if on_point is not None:
-            on_point(points[-1])
-    return FormulaResult.merged_from_points(spec, tuple(points))

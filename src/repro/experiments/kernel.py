@@ -16,7 +16,7 @@ size (the series the Proposition 6.2 saturation claim is about), plus
   ``G ≃_k kernel`` by playing the rank-``check_ef`` Ehrenfeucht–Fraïssé
   game on instances small enough to afford it — the Proposition 6.3 claim.
 
-Like sweeps, kernel runs shard (``shard=(i, j)`` with global indices and
+Like every kind, kernel runs shard (``shard=(i, j)`` with global indices and
 seeds) and write the same artifact envelope, so ``merge_artifacts``, the
 ``results`` aggregation and the benchmark regression gate treat the kernel
 series exactly like a certificate-size series: a kernel that *grows*
@@ -26,16 +26,14 @@ relative to its recorded baseline is a regression.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Dict, Optional, Tuple
 
 import networkx as nx
 
-from repro.engines import validate_engine
-from repro.experiments.artifacts import ARTIFACT_SCHEMA, BoundCheck, ExperimentResult
-from repro.experiments.bounds import FittedBound, fit_series
-from repro.experiments.spec import ExperimentSpec
-from repro.graphs.generators import GRAPH_FAMILIES, build_graph_spec
+from repro.experiments.artifacts import ExperimentResult
+from repro.experiments.spec import ExperimentPoint, ExperimentSpec
+from repro.graphs.generators import build_graph_spec
 from repro.kernel.reduction import k_reduced_graph
 from repro.logic.ef_games import ef_equivalent
 from repro.registry import RegistryError
@@ -83,6 +81,7 @@ class KernelSpec(ExperimentSpec):
 
     kind: ClassVar[str] = "kernel"
     _REQUIRED: ClassVar[Tuple[str, ...]] = ("family", "sizes")
+    artifact_prefix: ClassVar[str] = "kernel"
 
     family: str
     sizes: Tuple[int, ...]
@@ -97,16 +96,8 @@ class KernelSpec(ExperimentSpec):
     shard: Optional[Tuple[int, int]] = None
     name: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "shard", self._normalize_shard(self.shard))
-
     def validate(self) -> "KernelSpec":
-        if self.family not in GRAPH_FAMILIES:
-            raise RegistryError(
-                f"unknown graph family {self.family!r}; choose from {sorted(GRAPH_FAMILIES)}"
-            )
-        self._validate_grid()
+        super().validate()
         if self.k < 1:
             raise RegistryError("the pruning parameter k must be at least 1")
         if self.model not in KERNEL_MODELS:
@@ -117,21 +108,44 @@ class KernelSpec(ExperimentSpec):
             raise RegistryError("the star model only applies to the star family")
         if self.check_ef < 0:
             raise RegistryError("check_ef must be non-negative (0 = skip)")
-        try:
-            validate_engine(self.engine, context="kernel specs")
-        except ValueError as exc:
-            raise RegistryError(str(exc)) from None
         return self
 
-    def graph_spec(self, index: int) -> str:
-        return f"{self.family}:{self.sizes[index]}"
+    def run_point(self, index: int) -> "KernelPoint":
+        size = self.sizes[index]
+        point_seed = self.point_seed(index)
+        graph_spec = self.graph_spec(index)
+        graph = build_graph_spec(graph_spec, seed=point_seed)
+        started = time.perf_counter()
+        if self.model == "star":
+            tree = star_elimination_tree(graph)
+        else:
+            tree = coherent_model(graph)
+        reduction = k_reduced_graph(graph, tree, self.k)
+        valid = is_valid_model(reduction.kernel_graph, reduction.kernel_tree)
+        ef_ok: Optional[bool] = None
+        if self.check_ef > 0 and graph.number_of_nodes() <= MAX_EF_VERTICES:
+            ef_ok = bool(ef_equivalent(graph, reduction.kernel_graph, self.check_ef))
+        return KernelPoint(
+            index=index,
+            size=size,
+            graph=graph_spec,
+            vertices=graph.number_of_nodes(),
+            depth=tree.depth,
+            kernel_size=reduction.kernel_size,
+            pruned=len(reduction.deleted_vertices),
+            seed=point_seed,
+            valid_model=valid,
+            ef_ok=ef_ok,
+            ok=bool(valid and ef_ok is not False),
+            elapsed_s=time.perf_counter() - started,
+        )
 
     def _default_label(self) -> str:
         return f"kernel-k{self.k}-{self.family}"
 
 
 @dataclass(frozen=True)
-class KernelPoint:
+class KernelPoint(ExperimentPoint):
     """The outcome of one kernelization instance."""
 
     index: int
@@ -152,24 +166,20 @@ class KernelPoint:
     """No enabled check failed on this point."""
     elapsed_s: float
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dict(self.__dict__)
+    def describe(self) -> str:
+        checks = [f"valid={self.valid_model}"]
+        if self.ef_ok is not None:
+            checks.append(f"ef={self.ef_ok}")
+        return (f"{self.graph:<22} n={self.vertices:<6} depth={self.depth:<4} "
+                f"kernel {self.kernel_size:>5} vertices ({self.pruned} pruned)  "
+                f"{' '.join(checks)}  ({self.elapsed_s:.3f}s)")
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "KernelPoint":
-        return cls(**dict(data))
 
-
-@dataclass(frozen=True)
 class KernelResult(ExperimentResult):
-    """Everything :func:`run_kernel` produces."""
+    """Everything a :class:`KernelSpec` run produces."""
 
     kind: ClassVar[str] = "kernel"
-
-    spec: KernelSpec
-    points: Tuple[KernelPoint, ...]
-    bound: Optional[BoundCheck] = None
-    fit: Optional[FittedBound] = None
+    point_class: ClassVar[type] = KernelPoint
 
     @property
     def series(self) -> Dict[int, int]:
@@ -179,72 +189,3 @@ class KernelResult(ExperimentResult):
     @property
     def all_ok(self) -> bool:
         return all(point.ok for point in self.points)
-
-    @classmethod
-    def merged_from_points(
-        cls, spec: KernelSpec, points: Tuple[KernelPoint, ...]
-    ) -> "KernelResult":
-        result = cls(spec=spec, points=points)
-        return replace(result, fit=fit_series(result.series))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": ARTIFACT_SCHEMA,
-            "kind": self.kind,
-            "spec": self.spec.to_dict(),
-            "points": [point.to_dict() for point in self.points],
-            "series": {str(size): ks for size, ks in sorted(self.series.items())},
-            "all_ok": self.all_ok,
-            "bound": None,
-            "fit": self.fit.to_dict() if self.fit is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "KernelResult":
-        fit = data.get("fit")
-        return cls(
-            spec=KernelSpec.from_dict(data["spec"]),
-            points=tuple(KernelPoint.from_dict(p) for p in data["points"]),
-            fit=FittedBound.from_dict(fit) if fit is not None else None,
-        )
-
-
-def run_kernel_point(spec: KernelSpec, index: int) -> KernelPoint:
-    """Run one kernelization instance (reproducible in isolation)."""
-    size = spec.sizes[index]
-    point_seed = spec.point_seed(index)
-    graph_spec = spec.graph_spec(index)
-    graph = build_graph_spec(graph_spec, seed=point_seed)
-    started = time.perf_counter()
-    if spec.model == "star":
-        tree = star_elimination_tree(graph)
-    else:
-        tree = coherent_model(graph)
-    reduction = k_reduced_graph(graph, tree, spec.k)
-    valid = is_valid_model(reduction.kernel_graph, reduction.kernel_tree)
-    ef_ok: Optional[bool] = None
-    if spec.check_ef > 0 and graph.number_of_nodes() <= MAX_EF_VERTICES:
-        ef_ok = bool(ef_equivalent(graph, reduction.kernel_graph, spec.check_ef))
-    return KernelPoint(
-        index=index,
-        size=size,
-        graph=graph_spec,
-        vertices=graph.number_of_nodes(),
-        depth=tree.depth,
-        kernel_size=reduction.kernel_size,
-        pruned=len(reduction.deleted_vertices),
-        seed=point_seed,
-        valid_model=valid,
-        ef_ok=ef_ok,
-        ok=bool(valid and ef_ok is not False),
-        elapsed_s=time.perf_counter() - started,
-    )
-
-
-def run_kernel(spec: KernelSpec, shard: Optional[Tuple[int, int]] = None) -> KernelResult:
-    """Execute a kernel-size series (or one shard of it)."""
-    if shard is not None:
-        spec = replace(spec, shard=shard)
-    spec.validate()
-    points = tuple(run_kernel_point(spec, index) for index in spec.shard_indices())
-    return KernelResult.merged_from_points(spec, points)

@@ -19,27 +19,23 @@ construction sizes, and which checks to run per point —
   on the gadget with the completeness/soundness probe schemes (tiny
   instances only — the simulation is doubly exponential by design).
 
-Like sweeps, lower-bound runs shard (``shard=(i, k)`` with global indices
-and seeds) and write the same artifact envelope, so ``merge_artifacts`` and
-the ``results`` aggregation treat both kinds uniformly.
+Like every kind, lower-bound runs shard (``shard=(i, k)`` with global
+indices and seeds) and write the same artifact envelope, so
+``merge_artifacts`` and the ``results`` aggregation treat all kinds
+uniformly.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
-from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
-from repro.experiments.artifacts import (
-    ARTIFACT_SCHEMA,
-    BoundCheck,
-    ExperimentResult,
-)
-from repro.engines import resolve_engine, validate_engine
+from repro.engines import resolve_engine
+from repro.experiments.artifacts import ExperimentResult
+from repro.experiments.spec import ExperimentPoint, ExperimentSpec
 from repro.planner import Workload
-from repro.experiments.bounds import FittedBound, fit_series
-from repro.experiments.spec import ExperimentSpec, raise_if_stopped
 from repro.lower_bounds.catalog import (
     LowerBoundConstruction,
     NeverAcceptScheme,
@@ -47,7 +43,7 @@ from repro.lower_bounds.catalog import (
     get_construction,
 )
 from repro.network.ids import assign_identifiers
-from repro.registry import RegistryError
+from repro.registry import RegistryError, SizeBound
 
 
 @dataclass(frozen=True)
@@ -62,6 +58,8 @@ class LowerBoundSpec(ExperimentSpec):
 
     kind: ClassVar[str] = "lower-bound"
     _REQUIRED: ClassVar[Tuple[str, ...]] = ("construction", "sizes")
+    artifact_prefix: ClassVar[str] = "lb"
+    ENGINES: ClassVar[Tuple[str, ...]] = ("compiled", "delta", "vector", "auto")
 
     construction: str
     sizes: Tuple[int, ...]
@@ -80,29 +78,17 @@ class LowerBoundSpec(ExperimentSpec):
     shard: Optional[Tuple[int, int]] = None
     name: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "shard", self._normalize_shard(self.shard))
-
     @property
     def info(self) -> LowerBoundConstruction:
         return get_construction(self.construction)
 
     def validate(self) -> "LowerBoundSpec":
-        info = self.info  # raises RegistryError on unknown constructions
-        self._validate_grid()
+        info = self.info  # raises UnknownKeyError on unknown constructions
+        super().validate()
         if self.simulate_bits < 1:
             raise RegistryError("simulate_bits must be at least 1")
         if self.max_side_bits < 1:
             raise RegistryError("max_side_bits must be at least 1")
-        try:
-            validate_engine(
-                self.engine,
-                allowed=("compiled", "delta", "vector", "auto"),
-                context="lower-bound specs",
-            )
-        except ValueError as exc:
-            raise RegistryError(str(exc)) from None
         needs_instances = self.check_dichotomy or self.simulate
         if needs_instances and not info.checkable:
             raise RegistryError(
@@ -122,6 +108,106 @@ class LowerBoundSpec(ExperimentSpec):
                     )
         return self
 
+    def run_point(self, index: int) -> "LowerBoundPoint":
+        info = self.info
+        size = self.sizes[index]
+        point_seed = self.point_seed(index)
+        rng = random.Random(point_seed)
+        started = time.perf_counter()
+
+        ell = info.capacity(size)
+        r = info.spread(size)
+        vertices: Optional[int] = None
+        dichotomy_ok: Optional[bool] = None
+        protocol_ok: Optional[bool] = None
+        engine_resolved: Optional[str] = None
+
+        needs_pairs = self.check_dichotomy or self.simulate
+        if needs_pairs and info.checkable:
+            equal_pair = info.string_pair(size, rng, True)
+            different_pair = info.string_pair(size, rng, False)
+            if self.check_dichotomy:
+                yes_instance = info.build_instance(size, *equal_pair)
+                no_instance = info.build_instance(size, *different_pair)
+                vertices = yes_instance.number_of_nodes()
+                dichotomy_ok = bool(
+                    info.has_property(yes_instance) and not info.has_property(no_instance)
+                )
+            if self.simulate:
+                framework = info.framework(size)
+                # The framework graph's vertex set is string-independent (the
+                # injections only toggle edges inside the fixed private parts),
+                # so one identifier assignment serves both probes.
+                graph = framework.build_graph(*equal_pair)
+                ids = assign_identifiers(graph, sequential=True)
+                # Resolve "auto" once per point from the simulation's shape (the
+                # same descriptor simulate_protocol would build internally) and
+                # pin both probes to the outcome so the point records exactly
+                # the engine that ran.
+                present = {v for v in graph.nodes() if graph.degree(v) > 0}
+                bits = self.simulate_bits
+                middle = sum(
+                    1
+                    for v in list(framework.v_alpha) + list(framework.v_beta)
+                    if v in present
+                )
+                side_a = sum(1 for v in framework.v_a if v in present)
+                side_b = sum(1 for v in framework.v_b if v in present)
+                engine_resolved = resolve_engine(
+                    self.engine,
+                    Workload.enumeration(
+                        (1 << (bits * middle))
+                        * ((1 << (bits * side_a)) + (1 << (bits * side_b))),
+                        len(present),
+                        max((d for _, d in graph.degree()), default=0),
+                        max_bits=bits,
+                    ),
+                    allowed=("compiled", "delta", "vector"),
+                )
+                try:
+                    probe_accepted = framework.simulate_protocol(
+                        ProtocolProbeScheme(),
+                        *equal_pair,
+                        certificate_bits_per_vertex=self.simulate_bits,
+                        ids=ids,
+                        max_side_bits=self.max_side_bits,
+                        engine=engine_resolved,
+                    )
+                    control_rejected = not framework.simulate_protocol(
+                        NeverAcceptScheme(),
+                        *equal_pair,
+                        certificate_bits_per_vertex=self.simulate_bits,
+                        ids=ids,
+                        max_side_bits=self.max_side_bits,
+                        engine=engine_resolved,
+                    )
+                    protocol_ok = bool(probe_accepted and control_rejected)
+                except ValueError:
+                    # The simulation is doubly exponential by design; grid
+                    # points beyond max_side_bits are skipped (None), not failed
+                    # — the bound series and dichotomy still cover them.
+                    protocol_ok = None
+                    engine_resolved = None
+
+        return LowerBoundPoint(
+            index=index,
+            size=size,
+            ell=ell,
+            r=r,
+            bound_bits=float(info.bound_bits(size)),
+            vertices=vertices,
+            seed=point_seed,
+            dichotomy_ok=dichotomy_ok,
+            protocol_ok=protocol_ok,
+            elapsed_s=time.perf_counter() - started,
+            engine_resolved=engine_resolved,
+        )
+
+    def envelope(self) -> Optional[Tuple[SizeBound, Dict[str, Any]]]:
+        """The construction's expected Ω(f) shape: a lower-bound series that
+        flattens out (or blows up) relative to it fails the band test."""
+        return (self.info.bound, {}) if self.check_bound else None
+
     def _default_label(self) -> str:
         # Bare construction key: the CLI's default filename already carries
         # the lb_ prefix, and the results table has a kind column.
@@ -129,7 +215,7 @@ class LowerBoundSpec(ExperimentSpec):
 
 
 @dataclass(frozen=True)
-class LowerBoundPoint:
+class LowerBoundPoint(ExperimentPoint):
     """The measured outcome of one grid point of a lower-bound search."""
 
     index: int
@@ -153,24 +239,22 @@ class LowerBoundPoint:
     """Concrete engine the protocol simulation ran on (None when the point
     did not simulate)."""
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dict(self.__dict__)
+    def describe(self) -> str:
+        checks = []
+        if self.dichotomy_ok is not None:
+            checks.append(f"dichotomy={self.dichotomy_ok}")
+        if self.protocol_ok is not None:
+            checks.append(f"protocol={self.protocol_ok}")
+        extra = f"  {' '.join(checks)}" if checks else ""
+        return (f"size={self.size:<6} ell={self.ell:<6} r={self.r:<6} "
+                f"bound {self.bound_bits:>8.2f} bits{extra}  ({self.elapsed_s:.3f}s)")
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LowerBoundPoint":
-        return cls(**dict(data))
 
-
-@dataclass(frozen=True)
 class LowerBoundResult(ExperimentResult):
-    """Everything :func:`run_lower_bound` produces."""
+    """Everything a :class:`LowerBoundSpec` run produces."""
 
     kind: ClassVar[str] = "lower-bound"
-
-    spec: LowerBoundSpec
-    points: Tuple[LowerBoundPoint, ...]
-    bound: Optional[BoundCheck] = None
-    fit: Optional[FittedBound] = None
+    point_class: ClassVar[type] = LowerBoundPoint
 
     @property
     def series(self) -> Dict[int, float]:
@@ -184,171 +268,3 @@ class LowerBoundResult(ExperimentResult):
             point.dichotomy_ok is not False and point.protocol_ok is not False
             for point in self.points
         )
-
-    @classmethod
-    def merged_from_points(
-        cls, spec: LowerBoundSpec, points: Tuple[LowerBoundPoint, ...]
-    ) -> "LowerBoundResult":
-        result = cls(spec=spec, points=points)
-        bound = check_lower_bound_series(spec, result.series) if spec.check_bound else None
-        return replace(result, bound=bound, fit=fit_series(result.series))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": ARTIFACT_SCHEMA,
-            "kind": self.kind,
-            "spec": self.spec.to_dict(),
-            "points": [point.to_dict() for point in self.points],
-            "series": {str(size): bits for size, bits in sorted(self.series.items())},
-            "all_ok": self.all_ok,
-            "bound": self.bound.to_dict() if self.bound is not None else None,
-            "fit": self.fit.to_dict() if self.fit is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LowerBoundResult":
-        bound = data.get("bound")
-        fit = data.get("fit")
-        return cls(
-            spec=LowerBoundSpec.from_dict(data["spec"]),
-            points=tuple(LowerBoundPoint.from_dict(p) for p in data["points"]),
-            bound=BoundCheck.from_dict(bound) if bound is not None else None,
-            fit=FittedBound.from_dict(fit) if fit is not None else None,
-        )
-
-
-def check_lower_bound_series(
-    spec: LowerBoundSpec, series: Mapping[int, float]
-) -> BoundCheck:
-    """Check the Ω-bound series against the construction's expected shape.
-
-    Same constant-band test as the sweep-side bound check: the series must
-    track the envelope within the registered slack — a lower-bound series
-    that flattens out (or blows up) relative to its Ω(f) shape fails.
-    """
-    return BoundCheck.from_check(*spec.info.bound.check_series(series, {}))
-
-
-def run_lower_bound_point(spec: LowerBoundSpec, index: int) -> LowerBoundPoint:
-    """Run one grid point of a lower-bound search (reproducible in isolation)."""
-    info = spec.info
-    size = spec.sizes[index]
-    point_seed = spec.point_seed(index)
-    rng = random.Random(point_seed)
-    started = time.perf_counter()
-
-    ell = info.capacity(size)
-    r = info.spread(size)
-    vertices: Optional[int] = None
-    dichotomy_ok: Optional[bool] = None
-    protocol_ok: Optional[bool] = None
-    engine_resolved: Optional[str] = None
-
-    needs_pairs = spec.check_dichotomy or spec.simulate
-    if needs_pairs and info.checkable:
-        equal_pair = info.string_pair(size, rng, True)
-        different_pair = info.string_pair(size, rng, False)
-        if spec.check_dichotomy:
-            yes_instance = info.build_instance(size, *equal_pair)
-            no_instance = info.build_instance(size, *different_pair)
-            vertices = yes_instance.number_of_nodes()
-            dichotomy_ok = bool(
-                info.has_property(yes_instance) and not info.has_property(no_instance)
-            )
-        if spec.simulate:
-            framework = info.framework(size)
-            # The framework graph's vertex set is string-independent (the
-            # injections only toggle edges inside the fixed private parts),
-            # so one identifier assignment serves both probes.
-            graph = framework.build_graph(*equal_pair)
-            ids = assign_identifiers(graph, sequential=True)
-            # Resolve "auto" once per point from the simulation's shape (the
-            # same descriptor simulate_protocol would build internally) and
-            # pin both probes to the outcome so the point records exactly
-            # the engine that ran.
-            present = {v for v in graph.nodes() if graph.degree(v) > 0}
-            bits = spec.simulate_bits
-            middle = sum(
-                1
-                for v in list(framework.v_alpha) + list(framework.v_beta)
-                if v in present
-            )
-            side_a = sum(1 for v in framework.v_a if v in present)
-            side_b = sum(1 for v in framework.v_b if v in present)
-            engine_resolved = resolve_engine(
-                spec.engine,
-                Workload.enumeration(
-                    (1 << (bits * middle))
-                    * ((1 << (bits * side_a)) + (1 << (bits * side_b))),
-                    len(present),
-                    max((d for _, d in graph.degree()), default=0),
-                    max_bits=bits,
-                ),
-                allowed=("compiled", "delta", "vector"),
-            )
-            try:
-                probe_accepted = framework.simulate_protocol(
-                    ProtocolProbeScheme(),
-                    *equal_pair,
-                    certificate_bits_per_vertex=spec.simulate_bits,
-                    ids=ids,
-                    max_side_bits=spec.max_side_bits,
-                    engine=engine_resolved,
-                )
-                control_rejected = not framework.simulate_protocol(
-                    NeverAcceptScheme(),
-                    *equal_pair,
-                    certificate_bits_per_vertex=spec.simulate_bits,
-                    ids=ids,
-                    max_side_bits=spec.max_side_bits,
-                    engine=engine_resolved,
-                )
-                protocol_ok = bool(probe_accepted and control_rejected)
-            except ValueError:
-                # The simulation is doubly exponential by design; grid
-                # points beyond max_side_bits are skipped (None), not failed
-                # — the bound series and dichotomy still cover them.
-                protocol_ok = None
-                engine_resolved = None
-
-    return LowerBoundPoint(
-        index=index,
-        size=size,
-        ell=ell,
-        r=r,
-        bound_bits=float(info.bound_bits(size)),
-        vertices=vertices,
-        seed=point_seed,
-        dichotomy_ok=dichotomy_ok,
-        protocol_ok=protocol_ok,
-        elapsed_s=time.perf_counter() - started,
-        engine_resolved=engine_resolved,
-    )
-
-
-def run_lower_bound(
-    spec: LowerBoundSpec,
-    shard: Optional[Tuple[int, int]] = None,
-    should_stop: Optional[Callable[[], Optional[str]]] = None,
-    on_point: Optional[Callable[[LowerBoundPoint], None]] = None,
-) -> LowerBoundResult:
-    """Execute a lower-bound search (or one shard of it).
-
-    ``shard`` overrides ``spec.shard``; the returned result's spec records
-    the shard actually run, so partial artifacts are self-describing and
-    :func:`~repro.experiments.artifacts.merge_artifacts` can stitch them.
-
-    ``should_stop`` is the same cooperative stop-check as
-    :func:`~repro.experiments.runner.run_sweep`'s, polled between grid
-    points; it raises :class:`~repro.experiments.spec.ExperimentCancelled`.
-    """
-    if shard is not None:
-        spec = replace(spec, shard=shard)
-    spec.validate()
-    points = []
-    for index in spec.shard_indices():
-        raise_if_stopped(should_stop)
-        points.append(run_lower_bound_point(spec, index))
-        if on_point is not None:
-            on_point(points[-1])
-    return LowerBoundResult.merged_from_points(spec, tuple(points))

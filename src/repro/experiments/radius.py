@@ -17,15 +17,14 @@ its accept/reject decision matches the instance's actual diameter.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Dict, Optional, Tuple
 
 import networkx as nx
 
-from repro.experiments.artifacts import ARTIFACT_SCHEMA, BoundCheck, ExperimentResult
-from repro.experiments.bounds import FittedBound, fit_series
-from repro.experiments.spec import ExperimentSpec, raise_if_stopped
-from repro.graphs.generators import GRAPH_FAMILIES, build_graph_spec
+from repro.experiments.artifacts import ExperimentResult
+from repro.experiments.spec import ExperimentPoint, ExperimentSpec
+from repro.graphs.generators import build_graph_spec
 from repro.network.radius import RadiusSimulator, diameter_at_most_verifier
 from repro.registry import RegistryError
 
@@ -40,6 +39,7 @@ class RadiusSpec(ExperimentSpec):
 
     kind: ClassVar[str] = "radius"
     _REQUIRED: ClassVar[Tuple[str, ...]] = ("family", "sizes")
+    artifact_prefix: ClassVar[str] = "radius"
 
     family: str
     sizes: Tuple[int, ...]
@@ -49,35 +49,50 @@ class RadiusSpec(ExperimentSpec):
     shard: Optional[Tuple[int, int]] = None
     name: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "shard", self._normalize_shard(self.shard))
-
     @property
     def effective_radius(self) -> int:
         return self.radius if self.radius > 0 else self.bound + 1
 
     def validate(self) -> "RadiusSpec":
-        if self.family not in GRAPH_FAMILIES:
-            raise RegistryError(
-                f"unknown graph family {self.family!r}; choose from {sorted(GRAPH_FAMILIES)}"
-            )
-        self._validate_grid()
+        super().validate()
         if self.bound < 1:
             raise RegistryError("the diameter bound must be at least 1")
         if self.radius < 0:
             raise RegistryError("radius must be non-negative (0 = bound + 1)")
         return self
 
-    def graph_spec(self, index: int) -> str:
-        return f"{self.family}:{self.sizes[index]}"
+    def run_point(self, index: int) -> "RadiusPoint":
+        size = self.sizes[index]
+        point_seed = self.point_seed(index)
+        graph_spec = self.graph_spec(index)
+        graph = build_graph_spec(graph_spec, seed=point_seed)
+        started = time.perf_counter()
+        diameter = nx.diameter(graph)
+        expected = diameter <= self.bound
+        simulator = RadiusSimulator(graph, radius=self.effective_radius, seed=point_seed)
+        outcome = simulator.run(
+            diameter_at_most_verifier(self.bound), {v: b"" for v in graph.nodes()}
+        )
+        return RadiusPoint(
+            index=index,
+            size=size,
+            graph=graph_spec,
+            vertices=graph.number_of_nodes(),
+            diameter=diameter,
+            seed=point_seed,
+            expected=expected,
+            accepted=outcome.accepted,
+            ok=outcome.accepted == expected,
+            max_certificate_bits=outcome.max_certificate_bits,
+            elapsed_s=time.perf_counter() - started,
+        )
 
     def _default_label(self) -> str:
         return f"radius{self.effective_radius}-diameter{self.bound}-{self.family}"
 
 
 @dataclass(frozen=True)
-class RadiusPoint:
+class RadiusPoint(ExperimentPoint):
     """The outcome of one radius-r verification instance."""
 
     index: int
@@ -95,24 +110,12 @@ class RadiusPoint:
     max_certificate_bits: int
     elapsed_s: float
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dict(self.__dict__)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RadiusPoint":
-        return cls(**dict(data))
-
-
-@dataclass(frozen=True)
 class RadiusResult(ExperimentResult):
-    """Everything :func:`run_radius` produces."""
+    """Everything a :class:`RadiusSpec` run produces."""
 
     kind: ClassVar[str] = "radius"
-
-    spec: RadiusSpec
-    points: Tuple[RadiusPoint, ...]
-    bound: Optional[BoundCheck] = None
-    fit: Optional[FittedBound] = None
+    point_class: ClassVar[type] = RadiusPoint
 
     @property
     def series(self) -> Dict[int, int]:
@@ -122,84 +125,3 @@ class RadiusResult(ExperimentResult):
     @property
     def all_ok(self) -> bool:
         return all(point.ok for point in self.points)
-
-    @classmethod
-    def merged_from_points(
-        cls, spec: RadiusSpec, points: Tuple[RadiusPoint, ...]
-    ) -> "RadiusResult":
-        result = cls(spec=spec, points=points)
-        return replace(result, fit=fit_series(result.series))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": ARTIFACT_SCHEMA,
-            "kind": self.kind,
-            "spec": self.spec.to_dict(),
-            "points": [point.to_dict() for point in self.points],
-            "series": {str(size): bits for size, bits in sorted(self.series.items())},
-            "all_ok": self.all_ok,
-            "bound": None,
-            "fit": self.fit.to_dict() if self.fit is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RadiusResult":
-        fit = data.get("fit")
-        return cls(
-            spec=RadiusSpec.from_dict(data["spec"]),
-            points=tuple(RadiusPoint.from_dict(p) for p in data["points"]),
-            fit=FittedBound.from_dict(fit) if fit is not None else None,
-        )
-
-
-def run_radius_point(spec: RadiusSpec, index: int) -> RadiusPoint:
-    """Run one radius-r verification instance (reproducible in isolation)."""
-    size = spec.sizes[index]
-    point_seed = spec.point_seed(index)
-    graph_spec = spec.graph_spec(index)
-    graph = build_graph_spec(graph_spec, seed=point_seed)
-    started = time.perf_counter()
-    diameter = nx.diameter(graph)
-    expected = diameter <= spec.bound
-    simulator = RadiusSimulator(graph, radius=spec.effective_radius, seed=point_seed)
-    outcome = simulator.run(
-        diameter_at_most_verifier(spec.bound), {v: b"" for v in graph.nodes()}
-    )
-    return RadiusPoint(
-        index=index,
-        size=size,
-        graph=graph_spec,
-        vertices=graph.number_of_nodes(),
-        diameter=diameter,
-        seed=point_seed,
-        expected=expected,
-        accepted=outcome.accepted,
-        ok=outcome.accepted == expected,
-        max_certificate_bits=outcome.max_certificate_bits,
-        elapsed_s=time.perf_counter() - started,
-    )
-
-
-def run_radius(
-    spec: RadiusSpec,
-    shard: Optional[Tuple[int, int]] = None,
-    should_stop: Optional[Callable[[], Optional[str]]] = None,
-    on_point: Optional[Callable[[RadiusPoint], None]] = None,
-) -> RadiusResult:
-    """Execute a radius-verification series (or one shard of it).
-
-    ``should_stop`` is the same cooperative stop-check the sweep and
-    lower-bound runners poll between grid points (it raises
-    :class:`~repro.experiments.spec.ExperimentCancelled`), so radius runs
-    honour service deadlines and cancellation like every other kind.
-    """
-    if shard is not None:
-        spec = replace(spec, shard=shard)
-    spec.validate()
-    points = []
-    for index in spec.shard_indices():
-        raise_if_stopped(should_stop)
-        points.append(run_radius_point(spec, index))
-        if on_point is not None:
-            on_point(points[-1])
-    return RadiusResult.merged_from_points(spec, tuple(points))

@@ -28,15 +28,14 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.artifacts import ExperimentResult, load_artifact
+from repro.experiments.spec import ExperimentSpec
 
-#: Artifact filename patterns the aggregation picks up, in rendering order.
-ARTIFACT_PATTERNS = (
-    "sweep_*.json",
-    "lb_*.json",
-    "radius_*.json",
-    "kernel_*.json",
-    "formula_*.json",
-)
+
+def artifact_patterns() -> Tuple[str, ...]:
+    """Artifact filename patterns the aggregation picks up, in rendering
+    order: one ``<prefix>_*.json`` per registered experiment kind."""
+    return tuple(f"{cls.artifact_prefix}_*.json" for cls in ExperimentSpec._KINDS.values())
+
 
 #: Version tag of the committed baseline file layout.
 BASELINE_SCHEMA = 1
@@ -53,14 +52,14 @@ LOWER_BOUND_TOLERANCE = 1e-6
 def collect_artifacts(directory: str | os.PathLike) -> List[Tuple[Path, ExperimentResult]]:
     """Load every experiment artifact under ``directory`` (sorted by name).
 
-    Files matching :data:`ARTIFACT_PATTERNS` that are not loadable artifacts
+    Files matching :func:`artifact_patterns` that are not loadable artifacts
     (e.g. a foreign ``sweep_…json``) raise — a corrupt artifact should stop
     the gate, not silently vanish from it.  Partial (sharded) artifacts are
     skipped: they are inputs to ``merge_artifacts``, not results.
     """
     directory = Path(directory)
     found: List[Tuple[Path, ExperimentResult]] = []
-    for pattern in ARTIFACT_PATTERNS:
+    for pattern in artifact_patterns():
         for path in sorted(directory.glob(pattern)):
             result = load_artifact(path)
             if result.spec.shard is not None:
@@ -100,8 +99,6 @@ def _fit_cell(result: ExperimentResult) -> str:
 
 
 def _clean_cell(result: ExperimentResult) -> str:
-    if hasattr(result, "all_accepted"):
-        return "yes" if (result.all_accepted and result.all_sound) else "**NO**"
     return "yes" if result.all_ok else "**NO**"
 
 

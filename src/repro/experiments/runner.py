@@ -1,79 +1,26 @@
-"""Execute a :class:`~repro.experiments.spec.SweepSpec` on the compiled engine.
+"""Execute any :class:`~repro.experiments.spec.ExperimentSpec`: the one run loop.
 
-One grid point = build the instance, create the scheme from the registry,
-run the full evaluation harness (honest proof + distributed verification on
-yes-instances, scheduled adversarial trials on no-instances) and record the
-measured certificate size.  Points are independent by construction — each
-derives its own seed from ``(sweep seed, index)`` — which is what makes the
+One grid point = one :meth:`~repro.experiments.spec.ExperimentSpec.run_point`
+call.  Points are independent by construction — each derives its own seed
+from ``(experiment seed, index)`` — which is what makes the
 ``multiprocessing`` fan-out below trivial and any sub-range shardable: a
 worker (or a whole machine running ``shard=(i, k)``) needs nothing but the
-spec and a global point index.
+spec and a global point index.  Every kind therefore gets validation,
+cooperative cancellation, progress reporting, process fan-out and the
+merge into a finalised result from this one loop.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import time
 from dataclasses import replace
-from typing import Callable, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
-from repro.core.scheme import NotAYesInstance, evaluate_scheme
-from repro.experiments.artifacts import SweepPoint, SweepResult
-from repro.experiments.spec import SweepSpec, raise_if_stopped
-from repro.graphs.generators import build_graph_spec
-from repro.network.ids import assign_identifiers
+from repro.experiments.artifacts import ExperimentResult
+from repro.experiments.spec import ExperimentSpec, raise_if_stopped
 
 
-def run_point(spec: SweepSpec, index: int) -> SweepPoint:
-    """Run one grid point of a sweep (reproducible in isolation)."""
-    n = spec.sizes[index]
-    point_seed = spec.point_seed(index)
-    graph_spec = spec.graph_spec(index)
-    graph = build_graph_spec(graph_spec, seed=point_seed)
-    scheme = spec.info.create(spec.resolved_params(n))
-    started = time.perf_counter()
-    engine_resolved = None
-    if spec.measure == "size":
-        # Honest prover only: ``holds`` records whether a proof exists.
-        ids = None
-        if spec.id_exponent is not None:
-            ids = assign_identifiers(graph, exponent=spec.id_exponent, seed=point_seed)
-        try:
-            bits = scheme.max_certificate_bits(graph, seed=point_seed, ids=ids)
-            holds, completeness, soundness = True, None, None
-        except NotAYesInstance:
-            bits, holds, completeness, soundness = 0, False, None, None
-    else:
-        report = evaluate_scheme(
-            scheme,
-            graph,
-            seed=point_seed,
-            adversarial_trials=spec.trials,
-            engine=spec.engine,
-            id_exponent=spec.id_exponent,
-        )
-        bits = report.max_certificate_bits
-        holds = report.holds
-        completeness = report.completeness_ok
-        soundness = report.soundness_ok
-        engine_resolved = report.engine_resolved
-    return SweepPoint(
-        index=index,
-        n=n,
-        graph=graph_spec,
-        vertices=graph.number_of_nodes(),
-        edges=graph.number_of_edges(),
-        seed=point_seed,
-        holds=holds,
-        completeness_ok=completeness,
-        soundness_ok=soundness,
-        max_certificate_bits=bits,
-        elapsed_s=time.perf_counter() - started,
-        engine_resolved=engine_resolved,
-    )
-
-
-def _run_point_task(task: Tuple[dict, int]) -> SweepPoint:
+def _run_point_task(task: Tuple[dict, int]) -> Any:
     """Worker entry point: rebuild the spec from its dict and run one point.
 
     Only plain data crosses the process boundary — schemes are re-created
@@ -81,27 +28,29 @@ def _run_point_task(task: Tuple[dict, int]) -> SweepPoint:
     closures, caches) ever has to be serialised.
     """
     spec_dict, index = task
-    return run_point(SweepSpec.from_dict(spec_dict), index)
+    return ExperimentSpec.from_dict(spec_dict).run_point(index)
 
 
-def run_sweep(
-    spec: SweepSpec,
-    processes: Optional[int] = None,
+def run_experiment(
+    spec: ExperimentSpec,
+    *,
     shard: Optional[Tuple[int, int]] = None,
+    processes: Optional[int] = None,
     should_stop: Optional[Callable[[], Optional[str]]] = None,
-    on_point: Optional[Callable[[SweepPoint], None]] = None,
-) -> SweepResult:
-    """Execute a sweep (or one shard of it) and judge the measured series.
-
-    ``processes`` overrides ``spec.processes``; with more than one process
-    the grid points fan out across a ``multiprocessing`` pool.  The result
-    is identical either way — workers derive the same per-point seeds.
+    on_point: Optional[Callable[[Any], None]] = None,
+) -> ExperimentResult:
+    """Execute an experiment (or one shard of it) and judge the measured series.
 
     ``shard`` overrides ``spec.shard``: shard ``(i, k)`` runs only the grid
     points with global index ≡ i (mod k), keeping their global indices and
     derived seeds, and records the shard in the result's spec.  Partial
     results from a complete set of shards merge back into the unsharded
     artifact via :func:`repro.experiments.artifacts.merge_artifacts`.
+
+    ``processes`` overrides the spec's own ``processes`` field (kinds
+    without one default to 1); with more than one process the grid points
+    fan out across a ``multiprocessing`` pool.  The result is identical
+    either way — workers derive the same per-point seeds.
 
     ``should_stop`` is a cooperative stop-check (see
     :func:`~repro.experiments.spec.raise_if_stopped`) polled between grid
@@ -110,41 +59,42 @@ def run_sweep(
     grinding through the rest of the grid.
 
     ``on_point`` is an optional progress sink invoked with each completed
-    :class:`SweepPoint` as it lands (in arrival order).  A run interrupted
-    by ``should_stop`` has therefore already reported every finished point,
-    which is what lets the service salvage partial shard progress into a
-    structured timeout answer.
+    point as it lands (in grid order).  A run interrupted by ``should_stop``
+    has therefore already reported every finished point, which is what lets
+    the service salvage partial shard progress into a structured timeout
+    answer.
 
     The finalised result carries both bound judgements: the closed-form
-    :class:`BoundCheck` verdict against the registered envelope (when
-    ``spec.check_bound``) and the :class:`~repro.experiments.bounds.
-    FittedBound` regression exponent of the series.
+    :class:`~repro.experiments.artifacts.BoundCheck` verdict against the
+    spec's envelope and the :class:`~repro.experiments.bounds.FittedBound`
+    regression exponent of the series.
     """
     if shard is not None:
         spec = replace(spec, shard=shard)
     spec.validate()
     raise_if_stopped(should_stop)
-    processes = spec.processes if processes is None else max(1, processes)
+    if processes is None:
+        processes = getattr(spec, "processes", 1)
     indices = spec.shard_indices()
+    points = []
+
+    def land(point: Any) -> None:
+        points.append(point)
+        if on_point is not None:
+            on_point(point)
+
     if processes > 1 and len(indices) > 1:
         tasks = [(spec.to_dict(), index) for index in indices]
         with multiprocessing.Pool(processes=min(processes, len(tasks))) as pool:
-            # imap keeps submission order and lets the stop-check run between
+            # imap keeps grid order and lets the stop-check run between
             # arrivals; leaving the ``with`` block on cancellation terminates
             # the pool, so orphaned points stop with the run.
-            points = []
             for point in pool.imap(_run_point_task, tasks):
-                points.append(point)
-                if on_point is not None:
-                    on_point(point)
+                land(point)
                 raise_if_stopped(should_stop)
-        points.sort(key=lambda point: point.index)
     else:
-        points = []
         for index in indices:
             raise_if_stopped(should_stop)
-            points.append(run_point(spec, index))
-            if on_point is not None:
-                on_point(points[-1])
-
-    return SweepResult.merged_from_points(spec, tuple(points))
+            land(spec.run_point(index))
+    result_class = ExperimentResult.result_class(spec.kind)
+    return result_class.merged_from_points(spec, tuple(points))

@@ -52,7 +52,7 @@ from repro.lower_bounds.treedepth_lb import (
     treedepth_gadget,
     treedepth_lower_bound_bits,
 )
-from repro.registry import RegistryError, SizeBound
+from repro.registry import RegistryError, SizeBound, UnknownKeyError
 from repro.treedepth.decomposition import exact_treedepth
 
 
@@ -126,7 +126,7 @@ def get_construction(key: str) -> LowerBoundConstruction:
     try:
         return LOWER_BOUND_CONSTRUCTIONS[key]
     except KeyError:
-        raise RegistryError(
+        raise UnknownKeyError(
             f"unknown lower-bound construction {key!r}; "
             f"known: {', '.join(sorted(LOWER_BOUND_CONSTRUCTIONS))}"
         ) from None

@@ -49,6 +49,11 @@ class RegistryError(ValueError):
     """An unknown scheme, a bad parameter, or a duplicate registration."""
 
 
+class UnknownKeyError(RegistryError):
+    """A scheme or lower-bound construction key that names nothing (the
+    service answers it with the ``unknown-scheme`` wire code)."""
+
+
 # ---------------------------------------------------------------------------
 # Parameter specifications
 # ---------------------------------------------------------------------------
@@ -245,7 +250,7 @@ class SchemeRegistry:
         except KeyError:
             suggestions = difflib.get_close_matches(key, self.names(), n=3, cutoff=0.5)
             hint = f"did you mean {', '.join(map(repr, suggestions))}? " if suggestions else ""
-            raise RegistryError(
+            raise UnknownKeyError(
                 f"unknown scheme {key!r}; {hint}"
                 f"known schemes: {', '.join(self.names())}"
             ) from None

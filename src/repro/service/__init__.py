@@ -6,8 +6,8 @@ answers many verification requests against it.  This package is that
 service:
 
 * :mod:`repro.service.messages` — typed request/response dataclasses
-  (:class:`CertifyRequest`, :class:`SweepRequest`, :class:`LowerBoundRequest`,
-  the ``health``/``cancel`` control ops and their responses) and the
+  (:class:`CertifyRequest`, :class:`ExperimentRequest` for every experiment
+  kind, the ``health``/``cancel`` control ops and their responses) and the
   structured :class:`ErrorResponse` that maps ``NotAYesInstance`` /
   ``ValueError`` / parameter-validation failures — and now deadline expiry
   and cancellation — to machine-readable error codes instead of tracebacks;
@@ -23,7 +23,7 @@ service:
 * :mod:`repro.service.client` — :class:`ServiceClient`, a thin client for
   both transports with backoff-and-jitter connect and idempotent retry;
 * :mod:`repro.service.driver` — the fault-tolerant shard driver behind
-  ``python -m repro.cli shard-drive``: fan a sweep/lower-bound out over a
+  ``python -m repro.cli shard-drive``: fan any experiment out over a
   fleet of serve processes, survive dead workers, merge the partial
   artifacts back into the exact unsharded result;
 * :mod:`repro.service.faults` — deterministic fault injection (drop /
@@ -57,16 +57,14 @@ from repro.service.messages import (
     CertifyRequest,
     CertifyResponse,
     ErrorResponse,
+    ExperimentRequest,
+    ExperimentResponse,
     HealthRequest,
     HealthResponse,
-    LowerBoundRequest,
-    LowerBoundResponse,
     Request,
     Response,
     StatsRequest,
     StatsResponse,
-    SweepRequest,
-    SweepResponse,
     request_from_dict,
     response_from_dict,
 )
@@ -84,14 +82,14 @@ __all__ = [
     "DriveReport",
     "DriverError",
     "ErrorResponse",
+    "ExperimentRequest",
+    "ExperimentResponse",
     "FaultInjector",
     "FaultRule",
     "FaultSpecError",
     "HealthRequest",
     "HealthResponse",
     "LocalFleet",
-    "LowerBoundRequest",
-    "LowerBoundResponse",
     "Request",
     "ShardDriver",
     "Response",
@@ -100,8 +98,6 @@ __all__ = [
     "ServiceTransportError",
     "StatsRequest",
     "StatsResponse",
-    "SweepRequest",
-    "SweepResponse",
     "drive",
     "request_from_dict",
     "response_from_dict",

@@ -42,6 +42,7 @@ import time
 import uuid
 from typing import IO, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.experiments import ExperimentSpec
 from repro.service.messages import (
     BatchRequest,
     BatchResponse,
@@ -50,20 +51,14 @@ from repro.service.messages import (
     CertifyRequest,
     CertifyResponse,
     ErrorResponse,
-    FormulaRequest,
-    FormulaResponse,
+    ExperimentRequest,
+    ExperimentResponse,
     HealthRequest,
     HealthResponse,
-    LowerBoundRequest,
-    LowerBoundResponse,
-    RadiusRequest,
-    RadiusResponse,
     Request,
     Response,
     StatsRequest,
     StatsResponse,
-    SweepRequest,
-    SweepResponse,
     response_from_dict,
 )
 from repro.service.protocol import SHUTDOWN_OP, connect, encode_line
@@ -333,88 +328,19 @@ class ServiceClient:
             **retry_kwargs,
         )
 
-    def sweep(
-        self,
-        scheme: Optional[str] = None,
-        family: str = "",
-        sizes: Sequence[int] = (),
-        params: Optional[Mapping[str, Any]] = None,
-        trials: int = 20,
-        seed: int = 0,
-        formula: Optional[str] = None,
-        **kwargs: Any,
-    ) -> Union[SweepResponse, ErrorResponse]:
-        return self.request(
-            SweepRequest(
-                scheme=scheme,
-                formula=formula,
-                family=family,
-                sizes=tuple(sizes),
-                params=dict(params or {}),
-                trials=trials,
-                seed=seed,
-                **kwargs,
-            )
-        )
+    def run(
+        self, spec: ExperimentSpec, **kwargs: Any
+    ) -> Union[ExperimentResponse, ErrorResponse]:
+        """Run one experiment of any kind (or one shard of it) as one request.
 
-    def formula(
-        self,
-        formula: str,
-        family: str,
-        sizes: Sequence[int],
-        **kwargs: Any,
-    ) -> Union["FormulaResponse", ErrorResponse]:
-        """Run a certificate-size series for an ad-hoc MSO formula.
-
-        ``kwargs`` pass through to :class:`FormulaRequest` (including
-        ``t``, ``k``, ``route``, ``model``, ``shard``, ``deadline_s`` and
-        ``request_id``).
+        ``kwargs`` pass through to the :class:`ExperimentRequest`
+        (``deadline_s``, ``request_id``, ``attempt``) and to :meth:`request`
+        (``retries``, ``retry_delay``).
         """
         retry_kwargs = {
             key: kwargs.pop(key) for key in ("retries", "retry_delay") if key in kwargs
         }
-        return self.request(
-            FormulaRequest(formula=formula, family=family, sizes=tuple(sizes), **kwargs),
-            **retry_kwargs,
-        )
-
-    def lower_bound(
-        self,
-        construction: str,
-        sizes: Sequence[int],
-        **kwargs: Any,
-    ) -> Union[LowerBoundResponse, ErrorResponse]:
-        """Run a whole Section-7 lower-bound search as one request.
-
-        ``kwargs`` pass through to :class:`LowerBoundRequest` (including
-        ``shard``, ``deadline_s`` and ``request_id``).
-        """
-        retry_kwargs = {
-            key: kwargs.pop(key) for key in ("retries", "retry_delay") if key in kwargs
-        }
-        return self.request(
-            LowerBoundRequest(construction=construction, sizes=tuple(sizes), **kwargs),
-            **retry_kwargs,
-        )
-
-    def radius(
-        self,
-        family: str,
-        sizes: Sequence[int],
-        **kwargs: Any,
-    ) -> Union[RadiusResponse, ErrorResponse]:
-        """Run an Appendix-A.1 radius-verification series as one request.
-
-        ``kwargs`` pass through to :class:`RadiusRequest` (including
-        ``bound``, ``radius``, ``shard``, ``deadline_s`` and ``request_id``).
-        """
-        retry_kwargs = {
-            key: kwargs.pop(key) for key in ("retries", "retry_delay") if key in kwargs
-        }
-        return self.request(
-            RadiusRequest(family=family, sizes=tuple(sizes), **kwargs),
-            **retry_kwargs,
-        )
+        return self.request(ExperimentRequest(spec=spec, **kwargs), **retry_kwargs)
 
     def submit_many(
         self,

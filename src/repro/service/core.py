@@ -40,24 +40,14 @@ import threading
 import time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import networkx as nx
 
 from repro.caching import LRUCache, cache_stats, cache_stats_since
 from repro.core.cache import cached_evaluation_identifiers
 from repro.core.scheme import NotAYesInstance, evaluate_scheme
-from repro.experiments import (
-    ExperimentCancelled,
-    FormulaSpec,
-    LowerBoundSpec,
-    RadiusSpec,
-    SweepSpec,
-    run_formula,
-    run_lower_bound,
-    run_radius,
-    run_sweep,
-)
+from repro.experiments import ExperimentCancelled, run_experiment
 from repro.formulas import (
     FormulaError,
     compile_formula,
@@ -65,8 +55,7 @@ from repro.formulas import (
     resolve_formula_params,
 )
 from repro.graphs.generators import GraphSpecError, build_graph_spec
-from repro.lower_bounds.catalog import LOWER_BOUND_CONSTRUCTIONS
-from repro.registry import REGISTRY, RegistryError, SchemeInfo
+from repro.registry import REGISTRY, RegistryError, SchemeInfo, UnknownKeyError
 from repro.service.messages import (
     BatchRequest,
     BatchResponse,
@@ -75,25 +64,33 @@ from repro.service.messages import (
     CertifyRequest,
     CertifyResponse,
     ErrorResponse,
-    FormulaRequest,
-    FormulaResponse,
+    ExperimentRequest,
+    ExperimentResponse,
     HealthRequest,
     HealthResponse,
-    LowerBoundRequest,
-    LowerBoundResponse,
-    RadiusRequest,
-    RadiusResponse,
     Request,
     Response,
     StatsRequest,
     StatsResponse,
-    SweepRequest,
-    SweepResponse,
 )
 from repro.engines import validate_engine
 
 #: Default worker-pool width; deliberately small — the workload is CPU-bound.
 DEFAULT_WORKERS = 4
+
+#: How an experiment failure maps onto a wire error code: the first entry
+#: whose exception type matches wins, so more specific types come first.
+#: Anything unmatched is an ``internal-error``.
+EXPERIMENT_ERROR_CODES: Tuple[Tuple[type, str], ...] = (
+    (FormulaError, "invalid-formula"),
+    (UnknownKeyError, "unknown-scheme"),
+    (RegistryError, "invalid-param"),
+    (GraphSpecError, "invalid-graph"),
+    (NotAYesInstance, "not-a-yes-instance"),
+    # The exact decision procedures raise ValueError when an instance is
+    # out of their reach (e.g. exact treedepth on a large graph).
+    (ValueError, "undecidable"),
+)
 
 #: How often a scope-supervised wait re-checks for cancellation, expiry and
 #: connection death.  Coarse enough to stay off the profile, fine enough
@@ -204,8 +201,8 @@ class CertificationService:
     ----------
     workers:
         Width of the bounded worker pool behind :meth:`submit` /
-        :meth:`submit_many` (synchronous :meth:`certify` / :meth:`sweep`
-        calls never touch the pool).
+        :meth:`submit_many` (synchronous :meth:`certify` /
+        :meth:`experiment` calls never touch the pool).
     scheme_cache_size:
         How many scheme instances to keep alive, keyed by
         ``(registry key, resolved params)``.
@@ -340,8 +337,8 @@ class CertificationService:
         """Dispatch any typed request synchronously.
 
         ``scope`` is the cancel scope the work runs under (threaded through
-        to the cooperative stop-checks of sweeps, lower-bound searches and
-        batches); in-process callers that want no deadline simply omit it.
+        to the cooperative stop-checks of experiments and batches);
+        in-process callers that want no deadline simply omit it.
         Wire connections enter through :meth:`respond`, which builds the
         scope from the request's ``deadline_s`` and supervises the wait.
         """
@@ -350,14 +347,8 @@ class CertificationService:
             injector.before_handle(request, scope)
         if isinstance(request, CertifyRequest):
             return self.certify(request)
-        if isinstance(request, SweepRequest):
-            return self.sweep(request, scope=scope)
-        if isinstance(request, FormulaRequest):
-            return self.formula(request, scope=scope)
-        if isinstance(request, LowerBoundRequest):
-            return self.lower_bound(request, scope=scope)
-        if isinstance(request, RadiusRequest):
-            return self.radius(request, scope=scope)
+        if isinstance(request, ExperimentRequest):
+            return self.experiment(request, scope=scope)
         if isinstance(request, StatsRequest):
             self._count("stats")
             return StatsResponse(result=self.stats())
@@ -697,259 +688,45 @@ class CertificationService:
             certificates=certificates,
         )
 
-    def sweep(
-        self, request: SweepRequest, scope: Optional[CancelScope] = None
-    ) -> Union[SweepResponse, "FormulaResponse", ErrorResponse]:
-        """Run a whole declarative sweep (or one shard of it) as one request.
+    def experiment(
+        self, request: ExperimentRequest, scope: Optional[CancelScope] = None
+    ) -> Union[ExperimentResponse, ErrorResponse]:
+        """Run one experiment of any kind (or one shard of it) as one request.
 
-        A request carrying ``formula`` instead of ``scheme`` runs through
-        :class:`~repro.experiments.FormulaSpec` (``params`` holds the
-        compilation knobs) and answers with a :class:`FormulaResponse` —
-        the artifact payload then has kind ``"formula"``.
+        The spec goes through :func:`~repro.experiments.run_experiment` under
+        ``scope``'s stop-check, noting every finished point on the scope for
+        salvage; failures map onto wire codes through
+        :data:`EXPERIMENT_ERROR_CODES`.  Every executed point that reports an
+        ``engine_resolved`` ticks the routing counters.
         """
-
-        def fail(code: str, message: str) -> ErrorResponse:
-            self._count("errors")
-            return ErrorResponse(code=code, message=message, request_op=request.op)
-
-        if request.formula is not None:
-            if request.measure != "full":
-                return fail("invalid-param", "formula sweeps only support measure='full'")
-            if request.id_exponent is not None:
-                return fail("invalid-param", "formula sweeps do not support id_exponent")
-            try:
-                knobs = resolve_formula_params(request.params)
-            except FormulaError as error:
-                return fail("invalid-formula", str(error))
-            return self.formula(
-                FormulaRequest(
-                    formula=request.formula,
-                    family=request.family,
-                    sizes=request.sizes,
-                    t=knobs["t"],
-                    k=knobs["k"],
-                    route=knobs["route"],
-                    model=knobs["model"],
-                    trials=request.trials,
-                    seed=request.seed,
-                    engine=request.engine,
-                    check_bound=request.check_bound,
-                    shard=request.shard,
-                    name=request.name,
-                ),
-                scope=scope,
-            )
+        spec = request.spec
         try:
-            spec = SweepSpec(
-                scheme=request.scheme,
-                family=request.family,
-                sizes=request.sizes,
-                params=request.params,
-                trials=request.trials,
-                seed=request.seed,
-                engine=request.engine,
-                check_bound=request.check_bound,
-                measure=request.measure,
-                id_exponent=request.id_exponent,
-                shard=request.shard,
-                name=request.name,
-            ).validate()
-        except RegistryError as error:
-            code = "unknown-scheme" if request.scheme not in REGISTRY else "invalid-param"
-            return fail(code, str(error))
-        try:
-            result = self.run_sweep_spec(spec, scope=scope)
-        except ExperimentCancelled as error:
-            self._count("errors")
-            return ErrorResponse(
-                code=error.reason,
-                message=f"sweep stopped: {error.reason}",
-                request_op=request.op,
-                partial=_partial_payload(scope),
-            )
-        except GraphSpecError as error:
-            return fail("invalid-graph", str(error))
-        except NotAYesInstance as error:
-            return fail("not-a-yes-instance", str(error))
-        except ValueError as error:
-            return fail("undecidable", str(error))
-        except Exception as error:  # noqa: BLE001
-            return fail("internal-error", f"{type(error).__name__}: {error}")
-        return SweepResponse(result=result.to_dict())
-
-    def run_sweep_spec(self, spec: SweepSpec, scope: Optional[CancelScope] = None):
-        """Execute a validated :class:`SweepSpec` inside this service.
-
-        The in-process path :mod:`benchmarks/_harness` and the wire ``sweep``
-        op share; it exists so every sweep a benchmark runs counts in
-        :meth:`stats` and reuses this service's warm caches.
-        """
-        result = run_sweep(
-            spec,
-            should_stop=scope.check if scope is not None else None,
-            on_point=self._point_sink("sweep", scope),
-        )
-        self._count("sweep")
-        self._count_routing(point.engine_resolved for point in result.points)
-        return result
-
-    def formula(
-        self, request: FormulaRequest, scope: Optional[CancelScope] = None
-    ) -> Union[FormulaResponse, ErrorResponse]:
-        """Run a certificate-size series for an ad-hoc MSO formula.
-
-        The formula is compiled once (fingerprint-keyed cache, shared with
-        ``certify --formula``) and evaluated over the grid like a catalogue
-        sweep; parse/compile failures answer with ``invalid-formula``.
-        """
-
-        def fail(code: str, message: str) -> ErrorResponse:
-            self._count("errors")
-            return ErrorResponse(code=code, message=message, request_op=request.op)
-
-        try:
-            spec = FormulaSpec(
-                formula=request.formula,
-                family=request.family,
-                sizes=request.sizes,
-                t=request.t,
-                k=request.k,
-                route=request.route,
-                model=request.model,
-                trials=request.trials,
-                seed=request.seed,
-                engine=request.engine,
-                check_bound=request.check_bound,
-                shard=request.shard,
-                name=request.name,
-            ).validate()
-        except FormulaError as error:
-            return fail("invalid-formula", str(error))
-        except RegistryError as error:
-            return fail("invalid-param", str(error))
-        try:
-            result = run_formula(
+            result = run_experiment(
                 spec,
                 should_stop=scope.check if scope is not None else None,
-                on_point=self._point_sink("formula", scope),
+                on_point=self._point_sink(request.op, scope),
             )
         except ExperimentCancelled as error:
             self._count("errors")
             return ErrorResponse(
                 code=error.reason,
-                message=f"formula series stopped: {error.reason}",
+                message=f"{spec.kind} stopped: {error.reason}",
                 request_op=request.op,
                 partial=_partial_payload(scope),
             )
-        except GraphSpecError as error:
-            return fail("invalid-graph", str(error))
-        except NotAYesInstance as error:
-            return fail("not-a-yes-instance", str(error))
-        except FormulaError as error:
-            return fail("invalid-formula", str(error))
-        except ValueError as error:
-            return fail("undecidable", str(error))
-        except Exception as error:  # noqa: BLE001
-            return fail("internal-error", f"{type(error).__name__}: {error}")
-        self._count("formula")
-        self._count_routing(point.engine_resolved for point in result.points)
-        return FormulaResponse(result=result.to_dict())
-
-    def lower_bound(
-        self, request: LowerBoundRequest, scope: Optional[CancelScope] = None
-    ) -> Union[LowerBoundResponse, ErrorResponse]:
-        """Run a Section-7 lower-bound search (or one shard of it)."""
-
-        def fail(code: str, message: str) -> ErrorResponse:
+        except Exception as error:  # noqa: BLE001 - the service must not crash
             self._count("errors")
-            return ErrorResponse(code=code, message=message, request_op=request.op)
-
-        try:
-            spec = LowerBoundSpec(
-                construction=request.construction,
-                sizes=request.sizes,
-                check_dichotomy=request.check_dichotomy,
-                simulate=request.simulate,
-                simulate_bits=request.simulate_bits,
-                max_side_bits=request.max_side_bits,
-                engine=request.engine,
-                check_bound=request.check_bound,
-                seed=request.seed,
-                shard=request.shard,
-                name=request.name,
-            ).validate()
-        except RegistryError as error:
-            code = (
-                "unknown-scheme"
-                if request.construction not in LOWER_BOUND_CONSTRUCTIONS
-                else "invalid-param"
+            code = next(
+                (code for kind, code in EXPERIMENT_ERROR_CODES if isinstance(error, kind)),
+                None,
             )
-            return fail(code, str(error))
-        try:
-            result = run_lower_bound(
-                spec,
-                should_stop=scope.check if scope is not None else None,
-                on_point=self._point_sink("lower-bound", scope),
-            )
-        except ExperimentCancelled as error:
-            self._count("errors")
+            message = str(error) if code else f"{type(error).__name__}: {error}"
             return ErrorResponse(
-                code=error.reason,
-                message=f"lower-bound search stopped: {error.reason}",
-                request_op=request.op,
-                partial=_partial_payload(scope),
+                code=code or "internal-error", message=message, request_op=request.op
             )
-        except ValueError as error:
-            return fail("undecidable", str(error))
-        except Exception as error:  # noqa: BLE001
-            return fail("internal-error", f"{type(error).__name__}: {error}")
-        self._count("lower_bound")
-        self._count_routing(point.engine_resolved for point in result.points)
-        return LowerBoundResponse(result=result.to_dict())
-
-    def radius(
-        self, request: RadiusRequest, scope: Optional[CancelScope] = None
-    ) -> Union[RadiusResponse, ErrorResponse]:
-        """Run an Appendix-A.1 radius-verification series as one request."""
-
-        def fail(code: str, message: str) -> ErrorResponse:
-            self._count("errors")
-            return ErrorResponse(code=code, message=message, request_op=request.op)
-
-        try:
-            spec = RadiusSpec(
-                family=request.family,
-                sizes=request.sizes,
-                bound=request.bound,
-                radius=request.radius,
-                seed=request.seed,
-                shard=request.shard,
-                name=request.name,
-            ).validate()
-        except RegistryError as error:
-            return fail("invalid-param", str(error))
-        try:
-            result = run_radius(
-                spec,
-                should_stop=scope.check if scope is not None else None,
-                on_point=self._point_sink("radius", scope),
-            )
-        except ExperimentCancelled as error:
-            self._count("errors")
-            return ErrorResponse(
-                code=error.reason,
-                message=f"radius series stopped: {error.reason}",
-                request_op=request.op,
-                partial=_partial_payload(scope),
-            )
-        except GraphSpecError as error:
-            return fail("invalid-graph", str(error))
-        except ValueError as error:
-            return fail("undecidable", str(error))
-        except Exception as error:  # noqa: BLE001
-            return fail("internal-error", f"{type(error).__name__}: {error}")
-        self._count("radius")
-        return RadiusResponse(result=result.to_dict())
+        self._count(spec.kind.replace("-", "_"))
+        self._count_routing(getattr(point, "engine_resolved", None) for point in result.points)
+        return ExperimentResponse(result=result.to_dict())
 
     # -- batched submission --------------------------------------------------
 
@@ -1077,9 +854,7 @@ def _response_ok(response: Response) -> bool:
         return False
     if isinstance(response, CertifyResponse):
         return response.verdict_ok and response.sound is not False
-    if isinstance(
-        response, (SweepResponse, FormulaResponse, LowerBoundResponse, RadiusResponse)
-    ):
+    if isinstance(response, ExperimentResponse):
         return response.clean
     return True
 

@@ -12,8 +12,8 @@ it survive failures:
   on startup surfaces *its own* diagnostics, and members can be spawned and
   stopped individually mid-drive (the supervisor's levers);
 * :class:`ShardDriver` dispatches the shards ``(0,k) .. (k-1,k)`` of one
-  :class:`~repro.experiments.spec.ExperimentSpec` to the fleet as wire
-  ``sweep`` / ``lower-bound`` requests, detects dead or wedged workers,
+  :class:`~repro.experiments.spec.ExperimentSpec` of any kind to the fleet
+  as wire ``run`` requests, detects dead or wedged workers,
   re-dispatches lost shards to the survivors, and degrades gracefully all
   the way down to a single worker;
 * the partial payloads are stitched back through
@@ -89,10 +89,7 @@ from repro.experiments.artifacts import (
     merge_artifacts,
     result_from_payload,
 )
-from repro.experiments.formula import FormulaSpec
-from repro.experiments.lower_bound import LowerBoundSpec
-from repro.experiments.radius import RadiusSpec
-from repro.experiments.spec import ExperimentSpec, SweepSpec
+from repro.experiments.spec import ExperimentSpec
 from repro.service.client import (
     ServiceClient,
     ServiceConnectTimeout,
@@ -100,17 +97,9 @@ from repro.service.client import (
 )
 from repro.service.messages import (
     ErrorResponse,
-    FormulaRequest,
-    FormulaResponse,
+    ExperimentRequest,
+    ExperimentResponse,
     HealthResponse,
-    LowerBoundRequest,
-    LowerBoundResponse,
-    RadiusRequest,
-    RadiusResponse,
-    Request,
-    Response,
-    SweepRequest,
-    SweepResponse,
 )
 
 #: Error codes worth retrying on another worker (or the same one later).
@@ -757,38 +746,15 @@ class ShardDriver:
         index: int,
         count: int,
         attempt: Optional[int] = None,
-    ) -> Request:
+    ) -> ExperimentRequest:
         """The wire request for shard ``(index, count)`` of ``spec``."""
-        payload = spec.to_dict()
-        kind = payload.pop("kind", None)
-        payload["shard"] = (index, count)
-        payload["deadline_s"] = self.deadline_s
-        payload["attempt"] = attempt
         suffix = f"-a{attempt}" if attempt is not None else ""
-        payload["request_id"] = (
-            f"drive-{uuid.uuid4().hex[:8]}-shard{index}of{count}{suffix}"
+        return ExperimentRequest(
+            spec=replace(spec, shard=(index, count)),
+            deadline_s=self.deadline_s,
+            request_id=f"drive-{uuid.uuid4().hex[:8]}-shard{index}of{count}{suffix}",
+            attempt=attempt,
         )
-        if isinstance(spec, SweepSpec):
-            # The wire side has no ``processes`` (each worker parallelises
-            # itself); it is merge-normalised away anyway.
-            payload.pop("processes", None)
-            return SweepRequest(**payload)
-        if isinstance(spec, FormulaSpec):
-            return FormulaRequest(**payload)
-        if isinstance(spec, LowerBoundSpec):
-            return LowerBoundRequest(**payload)
-        if isinstance(spec, RadiusSpec):
-            return RadiusRequest(**payload)
-        raise DriverError(f"cannot drive experiment kind {kind!r}")
-
-    @staticmethod
-    def _payload_of(response: Response) -> Optional[Dict[str, Any]]:
-        if isinstance(
-            response,
-            (SweepResponse, FormulaResponse, LowerBoundResponse, RadiusResponse),
-        ):
-            return response.result
-        return None
 
     def _salvage(
         self,
@@ -994,9 +960,8 @@ class ShardDriver:
                         continue
                     state.worker_lost(label, index, f"transport: {error}")
                     return
-                payload = self._payload_of(response)
-                if payload is not None:
-                    state.complete(index, label, payload, attempt=attempt)
+                if isinstance(response, ExperimentResponse):
+                    state.complete(index, label, response.result, attempt=attempt)
                 elif isinstance(response, ErrorResponse):
                     if response.code in TRANSIENT_CODES:
                         salvaged = self._salvage(state, spec, index, response)

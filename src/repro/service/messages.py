@@ -2,7 +2,12 @@
 
 Every interaction with :class:`~repro.service.core.CertificationService` —
 in-process through :mod:`repro.api`, or over the JSON-lines wire protocol of
-:mod:`repro.service.protocol` — is one of the dataclasses here.  They are
+:mod:`repro.service.protocol` — is one of the dataclasses here.  Every
+experiment kind rides one request, :class:`ExperimentRequest` (wire op
+``run``, carrying a spec's ``to_dict``), answered by one
+:class:`ExperimentResponse` whose ``op`` is the result's kind; the older
+per-kind ops ``sweep``, ``formula``, ``lower-bound`` and ``radius`` are
+decoded as aliases of it, because ops may be added but never renamed.  They are
 plain data: JSON round-trippable (``to_dict``/``from_dict``), with no
 references to schemes, graphs or caches, so the same message works across a
 process or socket boundary.
@@ -19,9 +24,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, ClassVar, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.engines import VALID_ENGINES, validate_engine
+from repro.experiments import ExperimentSpec, result_from_payload
+from repro.formulas import FormulaError, resolve_formula_params
 
 #: Machine-readable error codes an :class:`ErrorResponse` may carry.
 ERROR_CODES: Tuple[str, ...] = (
@@ -44,7 +51,22 @@ ERROR_CODES: Tuple[str, ...] = (
 
 
 class ProtocolError(ValueError):
-    """A wire message that does not decode into a known request."""
+    """A wire message that does not decode into a known request.
+
+    Answered with ``code`` (``invalid-request`` unless a decode-time check
+    knows better — the legacy formula ``sweep`` alias rejects its knobs
+    with the codes its handler used to answer) and ``request_op``.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        code: str = "invalid-request",
+        request_op: Optional[str] = None,
+    ) -> None:
+        super().__init__(message)
+        self.code = code
+        self.request_op = request_op
 
 
 def _dataclass_dict(message: Any) -> Dict[str, Any]:
@@ -85,22 +107,21 @@ def _validate_fault_tolerance_fields(message: Any) -> None:
             raise ValueError(f"attempt must be at least 1, got {attempt!r}")
 
 
-def _validate_engine_field(
-    message: Any, allowed: Sequence[str] = VALID_ENGINES
+def _validate_engine(
+    engine: Any, op: str, allowed: Sequence[str] = VALID_ENGINES
 ) -> None:
-    """Validate the ``engine`` field at the message boundary.
+    """Validate an ``engine`` field at the message boundary.
 
     Raises ValueError (→ ``ProtocolError`` on the wire path) listing the
     valid engines from the one shared place, so a bad engine never travels
     further than decoding.
     """
-    engine = getattr(message, "engine", None)
     if not isinstance(engine, str):
         raise ValueError(f"engine must be a string, got {engine!r}")
-    validate_engine(engine, allowed=allowed, context=f"{message.op!r} requests")
+    validate_engine(engine, allowed=allowed, context=f"{op!r} requests")
 
 
-def _validate_scheme_or_formula(message: Any) -> None:
+def _validate_scheme_or_formula(scheme: Any, formula: Any) -> None:
     """Enforce the scheme/formula exclusivity shared by certify and sweep.
 
     Exactly one of ``scheme`` (a registry key) and ``formula`` (MSO concrete
@@ -109,8 +130,6 @@ def _validate_scheme_or_formula(message: Any) -> None:
     convention — so a request carrying both or neither never reaches a
     handler.
     """
-    scheme = getattr(message, "scheme", None)
-    formula = getattr(message, "formula", None)
     if scheme is not None and formula is not None:
         raise ValueError("'scheme' and 'formula' are mutually exclusive; set one")
     if scheme is None and formula is None:
@@ -119,16 +138,6 @@ def _validate_scheme_or_formula(message: Any) -> None:
         raise ValueError(f"formula must be a string, got {formula!r}")
     if scheme is not None and not isinstance(scheme, str):
         raise ValueError(f"scheme must be a string, got {scheme!r}")
-
-
-def _normalize_shard(shard: Any) -> Optional[Tuple[int, int]]:
-    if shard is None:
-        return None
-    try:
-        index, count = shard
-        return (int(index), int(count))
-    except (TypeError, ValueError):
-        raise ValueError(f"shard must be an (i, k) pair, got {shard!r}") from None
 
 
 def _from_dict(cls, data: Mapping[str, Any], *, kind: str):
@@ -196,8 +205,8 @@ class CertifyRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", dict(self.params))
-        _validate_scheme_or_formula(self)
-        _validate_engine_field(self)
+        _validate_scheme_or_formula(self.scheme, self.formula)
+        _validate_engine(self.engine, self.op)
         _validate_fault_tolerance_fields(self)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -208,105 +217,123 @@ class CertifyRequest:
         return _from_dict(cls, data, kind="request")
 
 
+#: Spec fields that describe how one process executes a run, not the
+#: experiment: they never cross the wire (each serve process parallelises
+#: itself) and ``merge_artifacts`` normalises them away.
+_LOCAL_SPEC_FIELDS = ("processes",)
+
+#: The per-kind experiment ops that predate ``run``.  Each is decoded as an
+#: alias: the op names the spec kind and the spec fields ride at the top
+#: level of the line (a ``sweep`` may carry ``formula`` + knob ``params``
+#: instead of ``scheme``, which makes it a ``formula`` spec).
+LEGACY_EXPERIMENT_OPS = ("sweep", "formula", "lower-bound", "radius")
+
+_ENVELOPE_FIELDS = ("deadline_s", "request_id", "attempt")
+
+
 @dataclass(frozen=True)
-class SweepRequest:
-    """A whole certificate-size series as one request.
+class ExperimentRequest:
+    """Run one experiment — any kind, or one shard of it — as one request.
 
-    Mirrors :class:`repro.experiments.SweepSpec` field-for-field (the service
-    builds the spec and runs it through the one declarative pipeline); the
-    response carries the artifact payload, bound verdict included.
+    The wire form is ``{"op": "run", "spec": {...}}`` where the spec is the
+    kind-tagged :meth:`~repro.experiments.spec.ExperimentSpec.to_dict` minus
+    its local execution knobs (``processes``), plus the ``deadline_s`` /
+    ``request_id`` / ``attempt`` envelope every work-carrying request
+    shares.  The service runs the spec through the one experiment loop and
+    answers with the artifact payload, bound verdict included; a sharded
+    spec is what lets the shard driver fan one experiment out over a fleet
+    of serve processes and merge the partial payloads back.
 
-    ``shard=(i, k)`` runs only the grid points with global index ≡ i (mod k)
-    — the wire form of ``sweep --shard i/k``, which is what lets the shard
-    driver fan one experiment out over a fleet of serve processes and merge
-    the partial payloads back into the exact unsharded artifact.
-
-    ``formula`` (mutually exclusive with ``scheme``) sweeps an *ephemeral*
-    scheme compiled from MSO concrete syntax; ``params`` then carries the
-    compilation knobs (``t``, ``k``, ``route``, ``model``) and the run goes
-    through :class:`repro.experiments.FormulaSpec` instead of ``SweepSpec``.
+    ``op`` is the spec's kind: it is what error answers report as their
+    ``request_op`` and what ``op=`` fault rules match on.
     """
 
-    op = "sweep"
+    WIRE_OP: ClassVar[str] = "run"
 
-    family: str
-    sizes: Tuple[int, ...]
-    scheme: Optional[str] = None
-    formula: Optional[str] = None
-    params: Mapping[str, Any] = field(default_factory=dict)
-    trials: int = 20
-    seed: int = 0
-    engine: str = "auto"
-    check_bound: bool = True
-    measure: str = "full"
-    id_exponent: Optional[int] = None
-    shard: Optional[Tuple[int, int]] = None
-    name: Optional[str] = None
+    spec: ExperimentSpec
     deadline_s: Optional[float] = None
     request_id: Optional[str] = None
     attempt: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "params", dict(self.params))
-        object.__setattr__(self, "shard", _normalize_shard(self.shard))
-        _validate_scheme_or_formula(self)
-        _validate_engine_field(self)
+        if not isinstance(self.spec, ExperimentSpec):
+            raise ValueError(f"spec must be an ExperimentSpec, got {self.spec!r}")
+        if hasattr(self.spec, "engine"):
+            _validate_engine(self.spec.engine, self.op, allowed=type(self.spec).ENGINES)
         _validate_fault_tolerance_fields(self)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _dataclass_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepRequest":
-        return _from_dict(cls, data, kind="request")
-
-
-@dataclass(frozen=True)
-class FormulaRequest:
-    """A certificate-size series for an ad-hoc MSO formula as one request.
-
-    Mirrors :class:`repro.experiments.FormulaSpec` field-for-field, the same
-    way :class:`SweepRequest` mirrors ``SweepSpec`` — including the
-    ``shard`` restriction, so formula series fan out over the shard driver
-    exactly like catalogue sweeps.  The formula is compiled once per serve
-    process (fingerprint-keyed cache) and evaluated at every grid point;
-    parse/compile failures answer with the ``invalid-formula`` code.
-    """
-
-    op = "formula"
-
-    formula: str
-    family: str
-    sizes: Tuple[int, ...]
-    t: int = 2
-    k: Optional[int] = None
-    route: str = "treedepth"
-    model: str = "auto"
-    trials: int = 20
-    seed: int = 0
-    engine: str = "auto"
-    check_bound: bool = True
-    shard: Optional[Tuple[int, int]] = None
-    name: Optional[str] = None
-    deadline_s: Optional[float] = None
-    request_id: Optional[str] = None
-    attempt: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.formula, str) or not self.formula.strip():
-            raise ValueError("formula must be a non-empty string")
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "shard", _normalize_shard(self.shard))
-        _validate_engine_field(self)
-        _validate_fault_tolerance_fields(self)
+    @property
+    def op(self) -> str:
+        return self.spec.kind
 
     def to_dict(self) -> Dict[str, Any]:
-        return _dataclass_dict(self)
+        spec = self.spec.to_dict()
+        for name in _LOCAL_SPEC_FIELDS:
+            spec.pop(name, None)
+        return {
+            "op": self.WIRE_OP,
+            "spec": spec,
+            **{name: getattr(self, name) for name in _ENVELOPE_FIELDS},
+        }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FormulaRequest":
-        return _from_dict(cls, data, kind="request")
+    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentRequest":
+        """Decode a ``run`` line or one of the legacy per-kind lines."""
+        payload = dict(data)
+        op = payload.pop("op", cls.WIRE_OP)
+        envelope = {name: payload.pop(name) for name in _ENVELOPE_FIELDS if name in payload}
+        if op == cls.WIRE_OP:
+            spec = payload.pop("spec", None)
+            if payload:
+                raise ProtocolError(f"unknown 'run' field(s) {sorted(payload)}")
+            if not isinstance(spec, Mapping) or "kind" not in spec:
+                raise ProtocolError("a 'run' request needs a 'spec' object with a 'kind'")
+            local = sorted(set(spec) & set(_LOCAL_SPEC_FIELDS))
+            if local:
+                raise ProtocolError(f"unknown 'run' spec field(s) {local}")
+        else:
+            spec = _legacy_spec(op, payload)
+        try:
+            return cls(spec=ExperimentSpec.from_dict(spec), **envelope)
+        except (TypeError, ValueError) as error:
+            raise ProtocolError(f"bad {op!r} request: {error}") from None
+
+
+def _legacy_spec(op: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The kind-tagged spec dict a legacy per-kind experiment line describes."""
+    known = {spec.name for spec in fields(ExperimentSpec._KINDS[op])}
+    known.difference_update(_LOCAL_SPEC_FIELDS)
+    if op == "sweep":
+        known.add("formula")
+    unknown = sorted(set(payload) - known)
+    if unknown:
+        raise ProtocolError(f"unknown {op!r} field(s) {unknown}")
+    if op != "sweep":
+        return {"kind": op, **payload}
+    try:
+        _validate_scheme_or_formula(payload.get("scheme"), payload.get("formula"))
+    except ValueError as error:
+        raise ProtocolError(f"bad 'sweep' request: {error}") from None
+    formula = payload.pop("formula", None)
+    if formula is None:
+        return {"kind": "sweep", **payload}
+    # A formula sweep is a formula series whose knobs ride in ``params``.
+    payload.pop("scheme", None)
+    if payload.pop("measure", "full") != "full":
+        raise ProtocolError(
+            "formula sweeps only support measure='full'", "invalid-param", "sweep"
+        )
+    if payload.pop("id_exponent", None) is not None:
+        raise ProtocolError(
+            "formula sweeps do not support id_exponent", "invalid-param", "sweep"
+        )
+    try:
+        knobs = resolve_formula_params(payload.pop("params", None))
+    except FormulaError as error:
+        raise ProtocolError(str(error), "invalid-formula", "sweep") from None
+    except (TypeError, ValueError) as error:
+        raise ProtocolError(f"bad 'sweep' request: {error}") from None
+    return {"kind": "formula", "formula": formula, **payload, **knobs}
 
 
 @dataclass(frozen=True)
@@ -320,85 +347,6 @@ class StatsRequest:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "StatsRequest":
-        return _from_dict(cls, data, kind="request")
-
-
-@dataclass(frozen=True)
-class LowerBoundRequest:
-    """A whole Section-7 lower-bound search as one request.
-
-    Mirrors :class:`repro.experiments.LowerBoundSpec` field-for-field, the
-    same way :class:`SweepRequest` mirrors ``SweepSpec`` — including the
-    ``shard`` restriction, so lower-bound searches fan out over the shard
-    driver exactly like sweeps do.
-    """
-
-    op = "lower-bound"
-
-    construction: str
-    sizes: Tuple[int, ...]
-    check_dichotomy: bool = True
-    simulate: bool = False
-    simulate_bits: int = 1
-    max_side_bits: int = 12
-    engine: str = "auto"
-    check_bound: bool = True
-    seed: int = 0
-    shard: Optional[Tuple[int, int]] = None
-    name: Optional[str] = None
-    deadline_s: Optional[float] = None
-    request_id: Optional[str] = None
-    attempt: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "shard", _normalize_shard(self.shard))
-        _validate_engine_field(self, allowed=("compiled", "delta", "vector", "auto"))
-        _validate_fault_tolerance_fields(self)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return _dataclass_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LowerBoundRequest":
-        return _from_dict(cls, data, kind="request")
-
-
-@dataclass(frozen=True)
-class RadiusRequest:
-    """A whole Appendix A.1 radius-verification series as one request.
-
-    Mirrors :class:`repro.experiments.RadiusSpec` field-for-field, the same
-    way :class:`SweepRequest` mirrors ``SweepSpec`` — including the
-    ``shard`` restriction, so radius series ride ``shard-drive`` like every
-    other experiment kind.  (No ``engine`` field: the radius simulator is
-    its own engine — it explores radius-``r`` balls, not certificate
-    assignments.)
-    """
-
-    op = "radius"
-
-    family: str
-    sizes: Tuple[int, ...]
-    bound: int = 3
-    radius: int = 0
-    seed: int = 0
-    shard: Optional[Tuple[int, int]] = None
-    name: Optional[str] = None
-    deadline_s: Optional[float] = None
-    request_id: Optional[str] = None
-    attempt: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "shard", _normalize_shard(self.shard))
-        _validate_fault_tolerance_fields(self)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return _dataclass_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RadiusRequest":
         return _from_dict(cls, data, kind="request")
 
 
@@ -451,25 +399,18 @@ class CancelRequest:
 
 
 _REQUEST_TYPES: Dict[str, type] = {
-    cls.op: cls
-    for cls in (
-        CertifyRequest,
-        SweepRequest,
-        FormulaRequest,
-        LowerBoundRequest,
-        RadiusRequest,
-        StatsRequest,
-        HealthRequest,
-        CancelRequest,
-    )
+    **{cls.op: cls for cls in (CertifyRequest, StatsRequest, HealthRequest, CancelRequest)},
+    **{op: ExperimentRequest for op in LEGACY_EXPERIMENT_OPS},
 }
 
 
 def request_from_dict(data: Mapping[str, Any]) -> "Request":
     """Re-hydrate any request by its ``op`` discriminator."""
     op = data.get("op")
-    cls = _REQUEST_TYPES.get(op)
+    cls = ExperimentRequest if op == ExperimentRequest.WIRE_OP else _REQUEST_TYPES.get(op)
     if cls is None:
+        # The listing is part of the frozen legacy-line transcript, so it
+        # names the ops that predate ``run`` (documented with the protocol).
         raise ProtocolError(
             f"unknown request op {op!r}; known ops: "
             f"{', '.join(sorted(_REQUEST_TYPES))}, shutdown"
@@ -556,10 +497,7 @@ class BatchRequest:
 
 Request = Union[
     CertifyRequest,
-    SweepRequest,
-    FormulaRequest,
-    LowerBoundRequest,
-    RadiusRequest,
+    ExperimentRequest,
     StatsRequest,
     HealthRequest,
     CancelRequest,
@@ -650,131 +588,37 @@ class CertifyResponse:
 
 
 @dataclass(frozen=True)
-class SweepResponse:
-    """The artifact payload of one :class:`SweepRequest`.
+class ExperimentResponse:
+    """The artifact payload of one :class:`ExperimentRequest`.
 
     ``result`` is exactly what :func:`repro.experiments.write_artifact`
     would have written (spec, points, series, bound verdict, fitted
-    exponent), so wire consumers read the same schema as artifact files.
+    exponent), so wire consumers — and the shard driver's merge — read the
+    same schema as artifact files.  ``op`` is the result's kind.
     """
 
-    op = "sweep"
     ok = True
 
     result: Dict[str, Any]
 
     @property
-    def clean(self) -> bool:
-        ok = bool(self.result.get("all_accepted")) and bool(self.result.get("all_sound"))
-        bound = self.result.get("bound")
-        if bound is not None:
-            ok = ok and bool(bound.get("ok"))
-        return ok
+    def op(self) -> str:
+        return self.result.get("kind", "sweep")
 
     @property
-    def series(self) -> Dict[int, int]:
-        return {int(n): bits for n, bits in (self.result.get("series") or {}).items()}
+    def clean(self) -> bool:
+        """The result's :attr:`~repro.experiments.ExperimentResult.clean` verdict."""
+        return result_from_payload(self.result).clean
+
+    @property
+    def series(self) -> Dict[int, Any]:
+        return {int(n): value for n, value in (self.result.get("series") or {}).items()}
 
     def to_dict(self) -> Dict[str, Any]:
         return {"op": self.op, "ok": True, "result": dict(self.result)}
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepResponse":
-        return cls(result=dict(data.get("result") or {}))
-
-
-@dataclass(frozen=True)
-class FormulaResponse:
-    """The artifact payload of one :class:`FormulaRequest`.
-
-    ``result`` is exactly what :func:`repro.experiments.write_artifact`
-    would have written for the series (kind ``"formula"``), so wire
-    consumers (and the shard driver's merge) read the same schema as
-    artifact files.
-    """
-
-    op = "formula"
-    ok = True
-
-    result: Dict[str, Any]
-
-    @property
-    def clean(self) -> bool:
-        ok = bool(self.result.get("all_accepted")) and bool(self.result.get("all_sound"))
-        bound = self.result.get("bound")
-        if bound is not None:
-            ok = ok and bool(bound.get("ok"))
-        return ok
-
-    @property
-    def series(self) -> Dict[int, int]:
-        return {int(n): bits for n, bits in (self.result.get("series") or {}).items()}
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"op": self.op, "ok": True, "result": dict(self.result)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FormulaResponse":
-        return cls(result=dict(data.get("result") or {}))
-
-
-@dataclass(frozen=True)
-class LowerBoundResponse:
-    """The artifact payload of one :class:`LowerBoundRequest`.
-
-    ``result`` is exactly what :func:`repro.experiments.write_artifact`
-    would have written for the search, so wire consumers (and the shard
-    driver's merge) read the same schema as artifact files.
-    """
-
-    op = "lower-bound"
-    ok = True
-
-    result: Dict[str, Any]
-
-    @property
-    def clean(self) -> bool:
-        ok = bool(self.result.get("all_ok"))
-        bound = self.result.get("bound")
-        if bound is not None:
-            ok = ok and bool(bound.get("ok"))
-        return ok
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"op": self.op, "ok": True, "result": dict(self.result)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LowerBoundResponse":
-        return cls(result=dict(data.get("result") or {}))
-
-
-@dataclass(frozen=True)
-class RadiusResponse:
-    """The artifact payload of one :class:`RadiusRequest`.
-
-    ``result`` is exactly what :func:`repro.experiments.write_artifact`
-    would have written for the series, so wire consumers (and the shard
-    driver's merge) read the same schema as artifact files.
-    """
-
-    op = "radius"
-    ok = True
-
-    result: Dict[str, Any]
-
-    @property
-    def clean(self) -> bool:
-        ok = bool(self.result.get("all_ok"))
-        bound = self.result.get("bound")
-        if bound is not None:
-            ok = ok and bool(bound.get("ok"))
-        return ok
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"op": self.op, "ok": True, "result": dict(self.result)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RadiusResponse":
+    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentResponse":
         return cls(result=dict(data.get("result") or {}))
 
 
@@ -893,18 +737,17 @@ class ErrorResponse:
 
 
 _RESPONSE_TYPES: Dict[str, type] = {
-    cls.op: cls
-    for cls in (
-        CertifyResponse,
-        SweepResponse,
-        FormulaResponse,
-        LowerBoundResponse,
-        RadiusResponse,
-        StatsResponse,
-        HealthResponse,
-        CancelResponse,
-        ErrorResponse,
-    )
+    **{
+        cls.op: cls
+        for cls in (
+            CertifyResponse,
+            StatsResponse,
+            HealthResponse,
+            CancelResponse,
+            ErrorResponse,
+        )
+    },
+    **{kind: ExperimentResponse for kind in ExperimentSpec._KINDS},
 }
 
 
@@ -957,10 +800,7 @@ class BatchResponse:
 
 Response = Union[
     CertifyResponse,
-    SweepResponse,
-    FormulaResponse,
-    LowerBoundResponse,
-    RadiusResponse,
+    ExperimentResponse,
     StatsResponse,
     HealthResponse,
     CancelResponse,

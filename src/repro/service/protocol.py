@@ -39,7 +39,12 @@ from typing import IO, Any, Callable, Dict, Optional, Tuple
 
 from repro.service.core import CertificationService
 from repro.service.faults import KILL_EXIT_CODE, FaultInjector, garble_line
-from repro.service.messages import ErrorResponse, ProtocolError, request_from_dict
+from repro.service.messages import (
+    ErrorResponse,
+    ExperimentRequest,
+    ProtocolError,
+    request_from_dict,
+)
 
 #: ``op`` of the session-terminating request and of its acknowledgement.
 SHUTDOWN_OP = "shutdown"
@@ -119,7 +124,9 @@ def handle_line(
     try:
         request = request_from_dict(data)
     except ProtocolError as error:
-        response = ErrorResponse(code="invalid-request", message=str(error))
+        response = ErrorResponse(
+            code=error.code, message=str(error), request_op=error.request_op
+        )
         return encode_line(response.to_dict()), True
     try:
         response = service.respond(request, is_alive=is_alive)
@@ -133,12 +140,21 @@ def handle_line(
 
 
 def _line_op(line: str) -> Optional[str]:
-    """The ``op`` of a request line, for fault matching (None if unparsable)."""
+    """The ``op`` of a request line, for fault matching (None if unparsable).
+
+    A ``run`` line matches as its spec's kind, so ``op=sweep`` rules fire on
+    sweeps whichever op carried them.
+    """
     try:
         data = json.loads(line)
     except json.JSONDecodeError:
         return None
-    return data.get("op") if isinstance(data, dict) else None
+    if not isinstance(data, dict):
+        return None
+    spec = data.get("spec")
+    if data.get("op") == ExperimentRequest.WIRE_OP and isinstance(spec, dict):
+        return spec.get("kind")
+    return data.get("op")
 
 
 #: Disposition of a response line after wire-fault application.

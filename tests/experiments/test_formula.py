@@ -12,8 +12,7 @@ from repro.experiments import (
     FormulaSpec,
     load_artifact,
     merge_artifacts,
-    run_formula,
-    run_formula_point,
+    run_experiment,
     write_artifact,
 )
 from repro.experiments.results import (
@@ -73,7 +72,7 @@ class TestFormulaSpec:
 
 class TestRunFormula:
     def test_star_series_is_clean_and_bounded(self):
-        result = run_formula(
+        result = run_experiment(
             FormulaSpec(formula=DOMINATING, family="star", sizes=(4, 6, 8), trials=5)
         )
         assert isinstance(result, FormulaResult)
@@ -84,7 +83,7 @@ class TestRunFormula:
 
     def test_no_instances_exercise_soundness(self):
         # A cycle has no dominating vertex once n > 3.
-        result = run_formula(
+        result = run_experiment(
             FormulaSpec(formula=DOMINATING, family="cycle", sizes=(5, 6), t=4, trials=5)
         )
         assert all(not point.holds for point in result.points)
@@ -95,8 +94,8 @@ class TestRunFormula:
         spec = FormulaSpec(
             formula=DOMINATING, family="random-tree", sizes=(6, 6), trials=5, seed=4
         )
-        full = run_formula(spec)
-        alone = run_formula_point(spec, 1)
+        full = run_experiment(spec)
+        alone = spec.run_point(1)
         assert alone.seed == full.points[1].seed
         assert alone.max_certificate_bits == full.points[1].max_certificate_bits
 
@@ -104,21 +103,21 @@ class TestRunFormula:
         spec = FormulaSpec(
             formula=DOMINATING, family="star", sizes=(4, 6, 8, 10), trials=5
         )
-        full = run_formula(spec)
-        parts = [run_formula(spec, shard=(i, 2)) for i in range(2)]
+        full = run_experiment(spec)
+        parts = [run_experiment(spec, shard=(i, 2)) for i in range(2)]
         assert _timeless(merge_artifacts(parts)) == _timeless(full)
 
     def test_engine_pins_are_respected(self):
         spec = FormulaSpec(
             formula=DOMINATING, family="star", sizes=(6,), trials=5, engine="vector"
         )
-        result = run_formula(spec)
+        result = run_experiment(spec)
         assert result.points[0].engine_resolved == "vector"
 
 
 class TestFormulaArtifacts:
     def test_artifact_roundtrip(self, tmp_path):
-        result = run_formula(
+        result = run_experiment(
             FormulaSpec(formula=DOMINATING, family="star", sizes=(4, 6, 8), trials=5)
         )
         path = write_artifact(result, tmp_path / "formula_star.json")
@@ -128,7 +127,7 @@ class TestFormulaArtifacts:
         assert loaded.bound is not None and loaded.bound.ok
 
     def test_collected_and_gated_like_any_series(self, tmp_path):
-        result = run_formula(
+        result = run_experiment(
             FormulaSpec(
                 formula=DOMINATING, family="star", sizes=(4, 6), trials=5,
                 name="gate-f",
@@ -144,7 +143,7 @@ class TestFormulaArtifacts:
         assert report.ok and not report.regressions
 
     def test_grown_series_is_a_regression(self, tmp_path):
-        result = run_formula(
+        result = run_experiment(
             FormulaSpec(formula=DOMINATING, family="star", sizes=(4, 6), trials=5)
         )
         baseline = {

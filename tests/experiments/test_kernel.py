@@ -12,8 +12,7 @@ from repro.experiments import (
     KernelSpec,
     load_artifact,
     merge_artifacts,
-    run_kernel,
-    run_kernel_point,
+    run_experiment,
     write_artifact,
 )
 from repro.experiments.results import (
@@ -63,10 +62,14 @@ class TestKernelSpec:
 
 
 class TestRunKernel:
+    def test_run_validates_the_spec_first(self):
+        with pytest.raises(RegistryError):
+            run_experiment(KernelSpec(family="star", sizes=(8,), k=0))
+
     def test_star_series_saturates(self):
         # Proposition 6.2 on stars: the k=3 kernel is the 4-vertex star
         # regardless of n (1 centre + k leaves of the one leaf type).
-        result = run_kernel(KernelSpec(family="star", sizes=(8, 32, 128), k=3))
+        result = run_experiment(KernelSpec(family="star", sizes=(8, 32, 128), k=3))
         assert result.series == {8: 4, 32: 4, 128: 4}
         assert result.all_ok
         assert all(point.valid_model for point in result.points)
@@ -75,7 +78,7 @@ class TestRunKernel:
     def test_star_model_is_monotone_in_k(self):
         # The E17 ablation shape: more generous pruning keeps more vertices.
         sizes = {
-            k: run_kernel(
+            k: run_experiment(
                 KernelSpec(family="star", sizes=(41,), k=k, model="star")
             ).series[41]
             for k in (1, 2, 3, 4)
@@ -83,7 +86,7 @@ class TestRunKernel:
         assert sizes[1] <= sizes[2] <= sizes[3] <= sizes[4] <= 41
 
     def test_ef_check_runs_on_small_instances_and_skips_large_ones(self):
-        result = run_kernel(
+        result = run_experiment(
             KernelSpec(family="star", sizes=(8, 32), k=2, check_ef=2)
         )
         small, large = result.points
@@ -93,21 +96,21 @@ class TestRunKernel:
 
     def test_points_reproducible_in_isolation(self):
         spec = KernelSpec(family="bounded-treedepth", sizes=(3, 3), k=2, seed=4)
-        full = run_kernel(spec)
-        alone = run_kernel_point(spec, 1)
+        full = run_experiment(spec)
+        alone = spec.run_point(1)
         assert alone.seed == full.points[1].seed
         assert alone.kernel_size == full.points[1].kernel_size
 
     def test_merge_of_shards_equals_full_run(self):
         spec = KernelSpec(family="star", sizes=(8, 16, 32, 64), k=3)
-        full = run_kernel(spec)
-        parts = [run_kernel(spec, shard=(i, 2)) for i in range(2)]
+        full = run_experiment(spec)
+        parts = [run_experiment(spec, shard=(i, 2)) for i in range(2)]
         assert _timeless(merge_artifacts(parts)) == _timeless(full)
 
 
 class TestKernelArtifacts:
     def test_artifact_roundtrip(self, tmp_path):
-        result = run_kernel(KernelSpec(family="star", sizes=(8, 32, 128), k=3))
+        result = run_experiment(KernelSpec(family="star", sizes=(8, 32, 128), k=3))
         path = write_artifact(result, tmp_path / "kernel_star.json")
         loaded = load_artifact(path)
         assert isinstance(loaded, KernelResult)
@@ -115,7 +118,7 @@ class TestKernelArtifacts:
         assert loaded.fit is not None
 
     def test_collected_and_gated_like_any_series(self, tmp_path):
-        result = run_kernel(KernelSpec(family="star", sizes=(8, 32), k=3))
+        result = run_experiment(KernelSpec(family="star", sizes=(8, 32), k=3))
         write_artifact(result, tmp_path / "kernel_star.json")
         artifacts = collect_artifacts(tmp_path)
         assert [r.kind for _, r in artifacts] == ["kernel"]
@@ -123,7 +126,7 @@ class TestKernelArtifacts:
         assert compare_to_baseline(artifacts, baseline).ok
 
     def test_grown_kernel_is_a_regression_shrunk_is_an_improvement(self, tmp_path):
-        result = run_kernel(KernelSpec(family="star", sizes=(8, 32), k=3))
+        result = run_experiment(KernelSpec(family="star", sizes=(8, 32), k=3))
         write_artifact(result, tmp_path / "kernel_star.json")
         artifacts = collect_artifacts(tmp_path)
         label = result.spec.label

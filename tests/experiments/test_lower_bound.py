@@ -10,9 +10,7 @@ from repro.experiments import (
     LowerBoundSpec,
     RadiusSpec,
     load_artifact,
-    run_lower_bound,
-    run_lower_bound_point,
-    run_radius,
+    run_experiment,
     write_artifact,
 )
 from repro.lower_bounds.catalog import LOWER_BOUND_CONSTRUCTIONS, get_construction
@@ -80,7 +78,7 @@ class TestLowerBoundSpec:
 
 class TestRunLowerBound:
     def test_automorphism_dichotomy_over_grid(self):
-        result = run_lower_bound(
+        result = run_experiment(
             LowerBoundSpec(construction="automorphism", sizes=(3, 5, 8), seed=1)
         )
         assert result.all_ok
@@ -91,7 +89,7 @@ class TestRunLowerBound:
         assert result.bound is not None and result.bound.ok
 
     def test_treedepth_dichotomy_and_simulation_on_tiny_gadget(self):
-        result = run_lower_bound(
+        result = run_experiment(
             LowerBoundSpec(construction="treedepth", sizes=(2,), simulate=True)
         )
         point = result.points[0]
@@ -103,7 +101,7 @@ class TestRunLowerBound:
         """The gate's delta-engine search must match the compiled one
         point-for-point (the engine only changes how the sweep runs)."""
         results = {
-            engine: run_lower_bound(
+            engine: run_experiment(
                 LowerBoundSpec(
                     construction="automorphism", sizes=(3, 4), simulate=True,
                     engine=engine, seed=2,
@@ -123,7 +121,7 @@ class TestRunLowerBound:
         assert results["delta"].points[0].protocol_ok is True
 
     def test_oversized_simulation_is_skipped_not_failed(self):
-        result = run_lower_bound(
+        result = run_experiment(
             LowerBoundSpec(construction="automorphism", sizes=(9,), simulate=True)
         )
         point = result.points[0]
@@ -133,8 +131,8 @@ class TestRunLowerBound:
 
     def test_points_reproducible_in_isolation(self):
         spec = LowerBoundSpec(construction="automorphism", sizes=(3, 6), seed=5)
-        full = run_lower_bound(spec)
-        alone = run_lower_bound_point(spec, 1)
+        full = run_experiment(spec)
+        alone = spec.run_point(1)
         full_dict = full.points[1].to_dict()
         alone_dict = alone.to_dict()
         full_dict.pop("elapsed_s"), alone_dict.pop("elapsed_s")
@@ -142,7 +140,7 @@ class TestRunLowerBound:
 
     def test_artifact_roundtrip(self, tmp_path):
         spec = LowerBoundSpec(construction="treedepth", sizes=(8, 32, 128), check_dichotomy=False)
-        result = run_lower_bound(spec)
+        result = run_experiment(spec)
         loaded = load_artifact(write_artifact(result, tmp_path / "lb_x.json"))
         assert loaded.spec == spec
         assert loaded.series == result.series
@@ -151,7 +149,7 @@ class TestRunLowerBound:
 
     def test_artifact_is_plain_json_with_kind(self, tmp_path):
         spec = LowerBoundSpec(construction="automorphism", sizes=(3,), check_dichotomy=False)
-        path = write_artifact(run_lower_bound(spec), tmp_path / "lb.json")
+        path = write_artifact(run_experiment(spec), tmp_path / "lb.json")
         data = json.loads(path.read_text())
         assert data["schema"] == 2
         assert data["kind"] == "lower-bound"
@@ -161,18 +159,18 @@ class TestRunLowerBound:
 
 class TestRadiusSpec:
     def test_star_family_is_accepted_with_zero_bits(self):
-        result = run_radius(RadiusSpec(family="star", sizes=(8, 16)))
+        result = run_experiment(RadiusSpec(family="star", sizes=(8, 16)))
         assert result.all_ok
         assert all(point.expected and point.accepted for point in result.points)
         assert set(result.series.values()) == {0}
 
     def test_long_paths_are_rejected(self):
-        result = run_radius(RadiusSpec(family="path", sizes=(10, 20)))
+        result = run_experiment(RadiusSpec(family="path", sizes=(10, 20)))
         assert result.all_ok
         assert not any(point.accepted for point in result.points)
 
     def test_union_of_cycles_has_diameter_four_and_is_rejected(self):
-        result = run_radius(RadiusSpec(family="union-of-cycles", sizes=(2, 5)))
+        result = run_experiment(RadiusSpec(family="union-of-cycles", sizes=(2, 5)))
         assert result.all_ok
         assert all(point.diameter == 4 and not point.accepted for point in result.points)
 
@@ -181,7 +179,7 @@ class TestRadiusSpec:
         assert RadiusSpec(family="star", sizes=(4,), radius=2).effective_radius == 2
 
     def test_artifact_roundtrip(self, tmp_path):
-        result = run_radius(RadiusSpec(family="star", sizes=(8,)))
+        result = run_experiment(RadiusSpec(family="star", sizes=(8,)))
         loaded = load_artifact(write_artifact(result, tmp_path / "radius_x.json"))
         assert loaded.spec == result.spec
         assert loaded.points == result.points

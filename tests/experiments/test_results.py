@@ -12,8 +12,7 @@ from repro.experiments import (
     collect_artifacts,
     compare_to_baseline,
     render_experiments_md,
-    run_lower_bound,
-    run_sweep,
+    run_experiment,
     write_artifact,
     write_baseline,
 )
@@ -24,12 +23,12 @@ from repro.experiments.results import baseline_path, load_baseline
 def artifact_dir(tmp_path_factory):
     """A directory holding one sweep and one lower-bound artifact."""
     directory = tmp_path_factory.mktemp("artifacts")
-    sweep = run_sweep(
+    sweep = run_experiment(
         SweepSpec(scheme="tree", family="random-tree", sizes=(4, 8, 16), trials=5,
                   name="t-sweep")
     )
     write_artifact(sweep, directory / "sweep_t.json")
-    lb = run_lower_bound(
+    lb = run_experiment(
         LowerBoundSpec(construction="automorphism", sizes=(3, 6, 9),
                        check_dichotomy=False, name="t-lb")
     )
@@ -45,7 +44,7 @@ class TestCollectAndRender:
     def test_sharded_partials_are_skipped(self, artifact_dir, tmp_path):
         for path, result in collect_artifacts(artifact_dir):
             (tmp_path / path.name).write_text(path.read_text())
-        partial = run_sweep(
+        partial = run_experiment(
             SweepSpec(scheme="tree", family="path", sizes=(4, 8), name="partial"),
             shard=(0, 2),
         )

@@ -9,8 +9,7 @@ import pytest
 from repro.experiments import (
     SweepSpec,
     load_artifact,
-    run_point,
-    run_sweep,
+    run_experiment,
     write_artifact,
 )
 from repro.registry import RegistryError
@@ -136,7 +135,7 @@ class TestSweepSpec:
 class TestRunner:
     def test_full_sweep_on_tree_scheme(self):
         spec = SweepSpec(scheme="tree", family="random-tree", sizes=(4, 8, 16), trials=5)
-        result = run_sweep(spec)
+        result = run_experiment(spec)
         assert [point.n for point in result.points] == [4, 8, 16]
         assert result.all_accepted and result.all_sound
         assert set(result.series) == {4, 8, 16}
@@ -144,21 +143,21 @@ class TestRunner:
 
     def test_no_instances_run_adversarial_trials(self):
         # Cycles are not trees: every point must be a sound no-instance.
-        result = run_sweep(SweepSpec(scheme="tree", family="cycle", sizes=(4, 6), trials=8))
+        result = run_experiment(SweepSpec(scheme="tree", family="cycle", sizes=(4, 6), trials=8))
         assert not any(point.holds for point in result.points)
         assert all(point.soundness_ok for point in result.points)
         assert result.series == {}
 
     def test_points_reproducible_in_isolation(self):
         spec = SweepSpec(scheme="tree", family="random-tree", sizes=(6, 12), trials=5)
-        full = run_sweep(spec)
-        alone = run_point(spec, 1)
+        full = run_experiment(spec)
+        alone = spec.run_point(1)
         assert _point_key(alone) == _point_key(full.points[1])
 
     def test_multiprocessing_matches_serial(self):
         spec = SweepSpec(scheme="bipartite", family="path", sizes=(4, 8, 12), trials=5)
-        serial = run_sweep(spec)
-        fanned = run_sweep(spec, processes=2)
+        serial = run_experiment(spec)
+        fanned = run_experiment(spec, processes=2)
         assert [_point_key(p) for p in serial.points] == [_point_key(p) for p in fanned.points]
 
     def test_engines_produce_identical_points(self):
@@ -167,7 +166,7 @@ class TestRunner:
         import dataclasses
 
         results = {
-            engine: run_sweep(
+            engine: run_experiment(
                 dataclasses.replace(
                     SweepSpec(
                         scheme="bipartite", family="cycle", sizes=(4, 5, 6), trials=6
@@ -188,13 +187,13 @@ class TestRunner:
         spec = SweepSpec(
             scheme="tree", family="random-tree", sizes=(8,), measure="size"
         )
-        result = run_sweep(spec)
+        result = run_experiment(spec)
         point = result.points[0]
         assert point.holds and point.completeness_ok is None
         assert point.max_certificate_bits > 0
 
     def test_size_measure_detects_no_instances(self):
-        result = run_sweep(
+        result = run_experiment(
             SweepSpec(scheme="tree", family="cycle", sizes=(5,), measure="size")
         )
         assert not result.points[0].holds
@@ -210,7 +209,7 @@ class TestRunner:
             sizes=(16, 512),
             measure="size",
         )
-        result = run_sweep(spec)
+        result = run_experiment(spec)
         assert result.bound is not None
         assert not result.bound.ok
 
@@ -223,7 +222,7 @@ class TestRunner:
             measure="size",
             check_bound=False,
         )
-        assert run_sweep(spec).bound is None
+        assert run_experiment(spec).bound is None
 
     def test_size_template_end_to_end(self):
         spec = SweepSpec(
@@ -233,7 +232,7 @@ class TestRunner:
             sizes=(6, 10),
             trials=5,
         )
-        result = run_sweep(spec)
+        result = run_experiment(spec)
         assert all(point.holds for point in result.points)
         assert result.all_accepted
 
@@ -241,7 +240,7 @@ class TestRunner:
 class TestArtifacts:
     def test_artifact_roundtrip(self, tmp_path):
         spec = SweepSpec(scheme="tree", family="random-tree", sizes=(4, 8), trials=5)
-        result = run_sweep(spec)
+        result = run_experiment(spec)
         path = write_artifact(result, tmp_path / "artifact.json")
         loaded = load_artifact(path)
         assert loaded.spec == spec
@@ -251,7 +250,7 @@ class TestArtifacts:
 
     def test_artifact_is_plain_json_with_series(self, tmp_path):
         spec = SweepSpec(scheme="bipartite", family="path", sizes=(4,), trials=2)
-        path = write_artifact(run_sweep(spec), tmp_path / "a.json")
+        path = write_artifact(run_experiment(spec), tmp_path / "a.json")
         data = json.loads(path.read_text())
         assert data["schema"] == 2
         assert data["kind"] == "sweep"
@@ -269,7 +268,7 @@ class TestArtifacts:
         """Pre-pipeline artifacts carry no kind and no fit; they default to
         sweeps with fit=None."""
         spec = SweepSpec(scheme="bipartite", family="path", sizes=(4,), trials=2)
-        data = run_sweep(spec).to_dict()
+        data = run_experiment(spec).to_dict()
         data["schema"] = 1
         del data["kind"], data["fit"]
         data["spec"].pop("kind")

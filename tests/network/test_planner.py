@@ -30,7 +30,7 @@ from repro.core.scheme import (
 from repro.core.simple_schemes import BipartitenessScheme
 from repro.core.spanning_tree import TreeScheme
 from repro.engines import AUTO_ENGINE, CONCRETE_ENGINES, VALID_ENGINES, resolve_engine
-from repro.experiments import ExperimentSpec, SweepSpec, load_artifact, run_sweep
+from repro.experiments import ExperimentSpec, SweepSpec, load_artifact, run_experiment
 from repro.graphs.generators import random_tree
 from repro.planner import (
     CALIBRATION_SCHEMA,
@@ -347,7 +347,7 @@ class TestSpecPlumbing:
         spec = SweepSpec(
             scheme="tree", family="random-tree", sizes=(6, 10), trials=5, engine="auto"
         )
-        result = run_sweep(spec)
+        result = run_experiment(spec)
         for point in result.points:
             assert point.engine_resolved in CONCRETE_ENGINES
         # engine_resolved survives the artifact dict round-trip.
@@ -360,7 +360,7 @@ class TestSpecPlumbing:
         spec = SweepSpec(
             scheme="tree", family="random-tree", sizes=(6,), trials=3, engine="compiled"
         )
-        result = run_sweep(spec)
+        result = run_experiment(spec)
         payload = result.to_dict()
         for point in payload["points"]:
             del point["engine_resolved"]  # what a PR-7 artifact looks like

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.experiments import FormulaSpec, SweepSpec
 from repro.service.client import (
     ServiceClient,
     ServiceConnectTimeout,
@@ -50,8 +51,8 @@ class TestTCP:
             )
             assert isinstance(certified, CertifyResponse)
             assert certified.holds and certified.registry_key == "formula"
-            series = client.formula(
-                formula=dominating, family="star", sizes=(4, 6), trials=5
+            series = client.run(
+                FormulaSpec(formula=dominating, family="star", sizes=(4, 6), trials=5)
             )
             assert series.series == {4: 160, 6: 184}
             malformed = client.certify(formula="exists x. ((x = y)", graph="star:8")
@@ -224,8 +225,9 @@ class TestWireDeadlines:
         )
         host, port = tcp_server.address
         with ServiceClient.connect(host, port) as client:
-            response = client.sweep(
-                scheme="tree", family="path", sizes=(4,), trials=2, deadline_s=0.3
+            response = client.run(
+                SweepSpec(scheme="tree", family="path", sizes=(4,), trials=2),
+                deadline_s=0.3,
             )
             assert isinstance(response, ErrorResponse)
             assert response.code == "timeout" and response.request_op == "sweep"

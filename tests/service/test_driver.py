@@ -8,7 +8,8 @@ import threading
 
 import pytest
 
-from repro.experiments import canonical_payload, run_lower_bound, run_sweep
+from repro.experiments import canonical_payload, run_experiment
+from repro.experiments.kernel import KernelSpec
 from repro.experiments.lower_bound import LowerBoundSpec
 from repro.experiments.radius import RadiusSpec
 from repro.experiments.spec import SweepSpec
@@ -22,7 +23,7 @@ from repro.service.driver import (
     drive,
 )
 from repro.service.faults import FaultInjector
-from repro.service.messages import LowerBoundRequest, RadiusRequest, SweepRequest
+from repro.service.messages import ExperimentRequest
 from repro.service.protocol import TCPProtocolServer
 
 
@@ -119,11 +120,11 @@ class TestShardRequest:
     def test_sweep_spec_becomes_a_sweep_request(self):
         driver = ShardDriver(deadline_s=5.0)
         request = driver.shard_request(sweep_spec(processes=4), 1, 3)
-        assert isinstance(request, SweepRequest)
-        assert request.shard == (1, 3)
+        assert isinstance(request, ExperimentRequest) and request.op == "sweep"
+        assert request.spec.shard == (1, 3)
         assert request.deadline_s == 5.0
         assert request.request_id and "shard1of3" in request.request_id
-        assert not hasattr(request, "processes")
+        assert "processes" not in request.to_dict()["spec"]
 
     def test_request_ids_are_unique_per_dispatch(self):
         driver = ShardDriver()
@@ -136,18 +137,26 @@ class TestShardRequest:
         request = ShardDriver().shard_request(
             LowerBoundSpec(construction="automorphism", sizes=(3, 5), seed=1), 0, 2
         )
-        assert isinstance(request, LowerBoundRequest)
-        assert request.shard == (0, 2)
+        assert isinstance(request, ExperimentRequest) and request.op == "lower-bound"
+        assert request.spec.shard == (0, 2)
+
+    def test_kernel_specs_shard_to_run_requests(self):
+        request = ShardDriver().shard_request(
+            KernelSpec(family="star", sizes=(8, 32), k=3), 1, 2
+        )
+        assert isinstance(request, ExperimentRequest) and request.op == "kernel"
+        assert request.to_dict()["op"] == "run"
+        assert request.spec.shard == (1, 2)
 
     def test_radius_specs_shard_to_radius_requests(self):
         request = ShardDriver().shard_request(
             RadiusSpec(family="star", sizes=(8, 16), bound=3), 1, 2
         )
-        assert isinstance(request, RadiusRequest)
-        assert request.family == "star"
-        assert request.sizes == (8, 16)
-        assert request.bound == 3
-        assert request.shard == (1, 2)
+        assert isinstance(request, ExperimentRequest) and request.op == "radius"
+        assert request.spec.family == "star"
+        assert request.spec.sizes == (8, 16)
+        assert request.spec.bound == 3
+        assert request.spec.shard == (1, 2)
 
 
 class TestDriverValidation:
@@ -180,13 +189,13 @@ class TestDriveInProcess:
         with tcp_workers(2) as addresses:
             report = drive(spec, addresses)
         assert report.shards == 2 and not report.workers_lost
-        assert canonical_bytes(report.result) == canonical_bytes(run_sweep(spec))
+        assert canonical_bytes(report.result) == canonical_bytes(run_experiment(spec))
 
     def test_driven_lower_bound_matches_the_unsharded_run(self):
         spec = LowerBoundSpec(construction="automorphism", sizes=(3, 5, 8), seed=1)
         with tcp_workers(2) as addresses:
             report = drive(spec, addresses)
-        assert canonical_bytes(report.result) == canonical_bytes(run_lower_bound(spec))
+        assert canonical_bytes(report.result) == canonical_bytes(run_experiment(spec))
 
     def test_more_shards_than_workers_still_merges_exactly(self):
         spec = sweep_spec()
@@ -194,7 +203,7 @@ class TestDriveInProcess:
             report = drive(spec, addresses, shards=4)
         assert report.shards == 4
         assert sorted(report.assignments) == [0, 1, 2, 3]
-        assert canonical_bytes(report.result) == canonical_bytes(run_sweep(spec))
+        assert canonical_bytes(report.result) == canonical_bytes(run_experiment(spec))
 
     def test_single_worker_degradation_is_just_a_drive(self):
         spec = sweep_spec(sizes=(6, 8))
@@ -213,7 +222,7 @@ class TestDriveInProcess:
         # requeued, and the retry (no longer matching nth=1) completed.
         assert report.redispatched != ()
         assert any(event[0] == "retry" for event in report.events)
-        assert canonical_bytes(report.result) == canonical_bytes(run_sweep(spec))
+        assert canonical_bytes(report.result) == canonical_bytes(run_experiment(spec))
 
     def test_permanent_error_aborts_the_drive(self):
         spec = sweep_spec(family="cycle", sizes=(2,), trials=1)
@@ -242,7 +251,7 @@ class TestShardDriveCli:
         spec_path.write_text(json.dumps(spec.to_dict()))
         driven = tmp_path / "driven.json"
         baseline = tmp_path / "baseline.json"
-        write_artifact(run_sweep(spec), baseline, canonical=True)
+        write_artifact(run_experiment(spec), baseline, canonical=True)
         with tcp_workers(2) as addresses:
             code = main([
                 "shard-drive", "--spec", str(spec_path),
@@ -279,7 +288,7 @@ class TestLocalFleetChaos:
         assert len(report.workers_lost) == 1
         assert report.redispatched != ()
         assert any(event[0] == "worker-lost" for event in report.events)
-        assert canonical_bytes(report.result) == canonical_bytes(run_sweep(spec))
+        assert canonical_bytes(report.result) == canonical_bytes(run_experiment(spec))
 
     def test_fleet_member_that_cannot_start_is_a_driver_error(self):
         with pytest.raises(DriverError, match="failed to start"):
@@ -452,7 +461,7 @@ class TestSalvageSplitInProcess:
         assert report.points_salvaged >= 1
         assert 0 < report.points_redispatched < len(spec.sizes)
         assert any(event[0] == "split" for event in report.events)
-        assert canonical_bytes(report.result) == canonical_bytes(run_sweep(spec))
+        assert canonical_bytes(report.result) == canonical_bytes(run_experiment(spec))
 
     def test_partitioned_worker_is_suspected_not_buried_blindly(self):
         spec = sweep_spec(trials=3)
@@ -478,7 +487,7 @@ class TestSalvageSplitInProcess:
         # merged artifact is still exact.
         assert any(event[0] == "suspect" for event in report.events)
         assert len(report.workers_lost) == 1
-        assert canonical_bytes(report.result) == canonical_bytes(run_sweep(spec))
+        assert canonical_bytes(report.result) == canonical_bytes(run_experiment(spec))
 
 
 class TestElasticChaos:
@@ -511,7 +520,7 @@ class TestElasticChaos:
             )
         assert len(report.workers_lost) == 1
         assert report.workers_spawned != ()
-        assert canonical_bytes(report.result) == canonical_bytes(run_sweep(spec))
+        assert canonical_bytes(report.result) == canonical_bytes(run_experiment(spec))
 
     def test_replacements_that_die_immediately_exhaust_the_budget(self):
         # A fake fleet whose replacements point at a dead port: every spawn
@@ -557,7 +566,7 @@ class TestElasticChaos:
         assert fleet.spawned == 2
         assert not supervisor.can_spawn()
         assert len(report.workers_lost) == 2
-        assert canonical_bytes(report.result) == canonical_bytes(run_sweep(spec))
+        assert canonical_bytes(report.result) == canonical_bytes(run_experiment(spec))
 
 
 class TestLocalFleetDiagnostics:

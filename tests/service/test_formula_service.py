@@ -15,16 +15,26 @@ from repro.service.messages import (
     CertifyRequest,
     CertifyResponse,
     ErrorResponse,
-    FormulaRequest,
-    FormulaResponse,
+    ExperimentRequest,
+    ExperimentResponse,
     ProtocolError,
-    SweepRequest,
     request_from_dict,
     response_from_dict,
 )
 from repro.service.protocol import encode_line, handle_line
 
 DOMINATING = "exists x. forall y. (x = y | x ~ y)"
+
+
+def legacy_sweep(**fields):
+    """Decode a legacy ``sweep`` wire line (the alias of ``run``)."""
+    return request_from_dict({"op": "sweep", **fields})
+
+
+def answer(service, fields):
+    """The typed answer to one wire line."""
+    line, _ = handle_line(service, encode_line(fields))
+    return response_from_dict(json.loads(line))
 
 
 @pytest.fixture()
@@ -39,7 +49,7 @@ class TestFormulaMessages:
     def test_invalid_formula_is_a_stable_error_code(self):
         assert "invalid-formula" in ERROR_CODES
 
-    @pytest.mark.parametrize("request_type", [CertifyRequest, SweepRequest])
+    @pytest.mark.parametrize("request_type", [CertifyRequest, legacy_sweep])
     def test_scheme_and_formula_are_mutually_exclusive(self, request_type):
         kwargs = (
             {"graph": "path:4"}
@@ -66,21 +76,24 @@ class TestFormulaMessages:
         assert request_from_dict(json.loads(json.dumps(request.to_dict()))) == request
 
     def test_formula_request_round_trips_with_shard(self):
-        request = FormulaRequest(
-            formula=DOMINATING, family="star", sizes=(4, 8), t=3,
-            shard=(1, 2), deadline_s=5.0, request_id="f-1",
+        request = ExperimentRequest(
+            spec=FormulaSpec(formula=DOMINATING, family="star", sizes=(4, 8), t=3,
+                             shard=(1, 2)),
+            deadline_s=5.0, request_id="f-1",
         )
         assert request_from_dict(json.loads(json.dumps(request.to_dict()))) == request
 
     def test_formula_request_requires_a_formula(self):
         with pytest.raises(ValueError, match="formula"):
-            FormulaRequest(formula="", family="star", sizes=(4,))
+            FormulaSpec(formula="", family="star", sizes=(4,))
 
     def test_formula_response_round_trips_and_clean(self, service):
-        response = service.formula(
-            FormulaRequest(formula=DOMINATING, family="star", sizes=(4, 6), trials=5)
+        response = service.experiment(
+            ExperimentRequest(
+                spec=FormulaSpec(formula=DOMINATING, family="star", sizes=(4, 6), trials=5)
+            )
         )
-        assert isinstance(response, FormulaResponse)
+        assert isinstance(response, ExperimentResponse)
         assert response.clean
         assert response.series == {4: 160, 6: 184}
         assert response_from_dict(json.loads(json.dumps(response.to_dict()))) == response
@@ -135,25 +148,25 @@ class TestFormulaCertify:
 
 class TestFormulaHandler:
     def test_sweep_with_formula_delegates_to_the_formula_handler(self, service):
-        response = service.sweep(
-            SweepRequest(formula=DOMINATING, family="star", sizes=(4, 6),
+        response = service.handle(
+            legacy_sweep(formula=DOMINATING, family="star", sizes=(4, 6),
                          params={"t": 2}, trials=5)
         )
-        assert isinstance(response, FormulaResponse)
+        assert isinstance(response, ExperimentResponse) and response.op == "formula"
         assert response.clean
 
     def test_formula_sweep_rejects_size_measure_and_id_exponent(self, service):
-        base = dict(formula=DOMINATING, family="star", sizes=(4,), trials=5)
-        response = service.sweep(SweepRequest(measure="size", **base))
+        base = dict(op="sweep", formula=DOMINATING, family="star", sizes=[4], trials=5)
+        response = answer(service, dict(measure="size", **base))
         assert isinstance(response, ErrorResponse)
         assert response.code == "invalid-param"
-        response = service.sweep(SweepRequest(id_exponent=2, **base))
+        response = answer(service, dict(id_exponent=2, **base))
         assert isinstance(response, ErrorResponse)
         assert response.code == "invalid-param"
 
     def test_unknown_family_is_invalid_graph(self, service):
-        response = service.formula(
-            FormulaRequest(formula=DOMINATING, family="nebula", sizes=(4,))
+        response = service.experiment(
+            ExperimentRequest(spec=FormulaSpec(formula=DOMINATING, family="nebula", sizes=(4,)))
         )
         assert isinstance(response, ErrorResponse)
         assert response.code in ("invalid-graph", "invalid-param")
@@ -193,8 +206,10 @@ class TestFormulaStatsAndHealth:
         assert stats["requests"]["certify"] == 3
 
     def test_formula_requests_are_counted(self, service):
-        service.formula(
-            FormulaRequest(formula=DOMINATING, family="star", sizes=(4,), trials=5)
+        service.experiment(
+            ExperimentRequest(
+                spec=FormulaSpec(formula=DOMINATING, family="star", sizes=(4,), trials=5)
+            )
         )
         assert service.stats()["service"]["requests"]["formula"] == 1
 
@@ -212,10 +227,10 @@ class TestFormulaSharding:
         request = ShardDriver(deadline_s=5.0).shard_request(
             FormulaSpec(formula=DOMINATING, family="star", sizes=(4, 8), t=3), 1, 2
         )
-        assert isinstance(request, FormulaRequest)
-        assert request.formula == DOMINATING
-        assert request.t == 3
-        assert request.shard == (1, 2)
+        assert isinstance(request, ExperimentRequest)
+        assert request.spec.formula == DOMINATING
+        assert request.spec.t == 3
+        assert request.spec.shard == (1, 2)
         assert request.deadline_s == 5.0
 
     def test_invalid_formula_is_not_transient(self):
@@ -227,9 +242,9 @@ class TestFormulaSharding:
         spec = FormulaSpec(
             formula=DOMINATING, family="star", sizes=(4, 6, 8, 10), trials=5
         )
-        full = service.formula(ShardDriver().shard_request(spec, 0, 1))
+        full = service.experiment(ShardDriver().shard_request(spec, 0, 1))
         parts = [
-            service.formula(ShardDriver().shard_request(spec, index, 2))
+            service.experiment(ShardDriver().shard_request(spec, index, 2))
             for index in range(2)
         ]
         merged = {}

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.experiments import BoundCheck, LowerBoundSpec, SweepPoint, SweepResult, SweepSpec
 from repro.service.messages import (
     ERROR_CODES,
     BatchRequest,
@@ -15,13 +16,12 @@ from repro.service.messages import (
     CertifyRequest,
     CertifyResponse,
     ErrorResponse,
+    ExperimentRequest,
+    ExperimentResponse,
     HealthRequest,
     HealthResponse,
-    LowerBoundRequest,
     ProtocolError,
     StatsRequest,
-    SweepRequest,
-    SweepResponse,
     request_from_dict,
     response_from_dict,
 )
@@ -37,8 +37,8 @@ class TestRequests:
         assert request_from_dict(json.loads(json.dumps(data))) == request
 
     def test_sweep_round_trip_normalises_sizes(self):
-        request = SweepRequest(scheme="tree", family="path", sizes=[4, 8])
-        assert request.sizes == (4, 8)
+        request = ExperimentRequest(spec=SweepSpec(scheme="tree", family="path", sizes=[4, 8]))
+        assert request.spec.sizes == (4, 8)
         assert request_from_dict(request.to_dict()) == request
 
     def test_stats_round_trip(self):
@@ -134,10 +134,21 @@ class TestResponses:
         assert response_from_dict(mixed.to_dict()) == mixed
 
     def test_sweep_response_clean_property(self):
-        clean = SweepResponse(result={"all_accepted": True, "all_sound": True,
-                                      "bound": {"ok": True}, "series": {"4": 16}})
+        spec = SweepSpec(scheme="tree", family="path", sizes=(4, 4))
+        accepted = SweepPoint(index=0, n=4, graph="path:4", vertices=4, edges=3, seed=0,
+                              holds=True, completeness_ok=True, soundness_ok=None,
+                              max_certificate_bits=16, elapsed_s=0.0)
+        unsound = SweepPoint(index=1, n=4, graph="path:4", vertices=4, edges=3, seed=1,
+                             holds=False, completeness_ok=None, soundness_ok=False,
+                             max_certificate_bits=0, elapsed_s=0.0)
+        bound = BoundCheck(label="O(log n)", ok=True, spread=None, slack=8.0)
+        clean = ExperimentResponse(
+            result=SweepResult(spec=spec, points=(accepted,), bound=bound).to_dict()
+        )
         assert clean.clean and clean.series == {4: 16}
-        assert not SweepResponse(result={"all_accepted": True, "all_sound": False}).clean
+        assert not ExperimentResponse(
+            result=SweepResult(spec=spec, points=(accepted, unsound)).to_dict()
+        ).clean
 
 class TestEngineField:
     """The shared engine vocabulary on the wire surface."""
@@ -146,7 +157,9 @@ class TestEngineField:
         for engine in ("legacy", "compiled", "delta", "vector"):
             certify = CertifyRequest(scheme="tree", graph="path:4", engine=engine)
             assert request_from_dict(certify.to_dict()) == certify
-            sweep = SweepRequest(scheme="tree", family="path", sizes=(4,), engine=engine)
+            sweep = ExperimentRequest(
+                spec=SweepSpec(scheme="tree", family="path", sizes=(4,), engine=engine)
+            )
             assert request_from_dict(sweep.to_dict()) == sweep
 
     def test_unknown_engine_rejected_at_construction(self):
@@ -156,7 +169,7 @@ class TestEngineField:
         for engine in ("legacy", "compiled", "delta", "vector"):
             assert repr(engine) in message
         with pytest.raises(ValueError, match="engine"):
-            SweepRequest(scheme="tree", family="path", sizes=(4,), engine=7)
+            ExperimentRequest(spec=SweepSpec(scheme="tree", family="path", sizes=(4,), engine=7))
 
     def test_unknown_engine_on_the_wire_is_a_protocol_error(self):
         with pytest.raises(ProtocolError, match="quantum"):
@@ -168,12 +181,14 @@ class TestEngineField:
     def test_lower_bound_engine_subset(self):
         # No legacy path in the protocol simulation: the request type only
         # accepts the engines the simulation can actually run on.
-        request = LowerBoundRequest(
-            construction="automorphism", sizes=(3,), engine="vector"
+        request = ExperimentRequest(
+            spec=LowerBoundSpec(construction="automorphism", sizes=(3,), engine="vector")
         )
         assert request_from_dict(request.to_dict()) == request
         with pytest.raises(ValueError, match="legacy"):
-            LowerBoundRequest(construction="automorphism", sizes=(3,), engine="legacy")
+            ExperimentRequest(
+                spec=LowerBoundSpec(construction="automorphism", sizes=(3,), engine="legacy")
+            )
 
 
 class TestFaultToleranceMessages:
@@ -194,9 +209,9 @@ class TestFaultToleranceMessages:
             CertifyRequest(scheme="tree", graph="path:4", request_id=7)
 
     def test_deadline_and_request_id_round_trip(self):
-        request = SweepRequest(
-            scheme="tree", family="path", sizes=(4, 8),
-            deadline_s=1.5, request_id="rq-2", shard=(1, 3),
+        request = ExperimentRequest(
+            spec=SweepSpec(scheme="tree", family="path", sizes=(4, 8), shard=(1, 3)),
+            deadline_s=1.5, request_id="rq-2",
         )
         assert request_from_dict(request.to_dict()) == request
 
@@ -218,12 +233,12 @@ class TestFaultToleranceMessages:
         assert response_from_dict(response.to_dict()) == response
 
     def test_lower_bound_request_round_trip_with_shard(self):
-        request = LowerBoundRequest(
-            construction="automorphism", sizes=(3, 5), shard=(0, 2),
+        request = ExperimentRequest(
+            spec=LowerBoundSpec(construction="automorphism", sizes=(3, 5), shard=(0, 2)),
             deadline_s=5.0, request_id="lb-1",
         )
         back = request_from_dict(request.to_dict())
-        assert back == request and back.shard == (0, 2)
+        assert back == request and back.spec.shard == (0, 2)
 
     def test_fault_tolerance_error_codes_are_stable(self):
         # The retry/backoff contract keys on these; renaming one would
@@ -245,19 +260,20 @@ class TestSelfHealingMessages:
     """The attempt-fencing and partial-salvage wire surface (PR 10)."""
 
     def test_attempt_validation(self):
-        request = SweepRequest(
-            scheme="tree", family="path", sizes=(4,), attempt=2
-        )
+        spec = SweepSpec(scheme="tree", family="path", sizes=(4,))
+        request = ExperimentRequest(spec=spec, attempt=2)
         assert request.attempt == 2
         for bad in (0, -1, True, 1.5, "two"):
             with pytest.raises(ValueError, match="attempt"):
-                SweepRequest(scheme="tree", family="path", sizes=(4,), attempt=bad)
+                ExperimentRequest(spec=spec, attempt=bad)
 
     def test_attempt_round_trips_on_every_driveable_request(self):
-        sweep = SweepRequest(scheme="tree", family="path", sizes=(4,), attempt=3)
+        sweep = ExperimentRequest(
+            spec=SweepSpec(scheme="tree", family="path", sizes=(4,)), attempt=3
+        )
         assert request_from_dict(sweep.to_dict()) == sweep
-        lower = LowerBoundRequest(
-            construction="automorphism", sizes=(3,), attempt=1
+        lower = ExperimentRequest(
+            spec=LowerBoundSpec(construction="automorphism", sizes=(3,)), attempt=1
         )
         assert request_from_dict(lower.to_dict()) == lower
         certify = CertifyRequest(scheme="tree", graph="path:4", attempt=2)

@@ -9,6 +9,7 @@ import networkx as nx
 import pytest
 
 from repro.caching import clear_caches
+from repro.experiments import SweepSpec
 from repro.service.core import CertificationService
 from repro.service.faults import FaultInjector
 from repro.service.messages import (
@@ -18,8 +19,8 @@ from repro.service.messages import (
     ErrorResponse,
     HealthRequest,
     StatsRequest,
-    SweepRequest,
-    SweepResponse,
+    ExperimentRequest,
+    ExperimentResponse,
 )
 
 
@@ -146,20 +147,22 @@ class TestCacheReuse:
 
 class TestSweepAndStats:
     def test_sweep_request_returns_artifact_payload(self, service):
-        response = service.sweep(
-            SweepRequest(scheme="tree", family="random-tree", sizes=(4, 8), trials=3)
+        response = service.experiment(
+            ExperimentRequest(
+                spec=SweepSpec(scheme="tree", family="random-tree", sizes=(4, 8), trials=3)
+            )
         )
-        assert isinstance(response, SweepResponse)
+        assert isinstance(response, ExperimentResponse)
         assert response.clean and set(response.series) == {4, 8}
         assert response.result["spec"]["scheme"] == "tree"
         assert response.result["bound"]["ok"] is True
 
     def test_sweep_error_mapping(self, service):
-        assert service.sweep(
-            SweepRequest(scheme="nope", family="path", sizes=(4,))
+        assert service.experiment(
+            ExperimentRequest(spec=SweepSpec(scheme="nope", family="path", sizes=(4,)))
         ).code == "unknown-scheme"
-        assert service.sweep(
-            SweepRequest(scheme="tree", family="nebula", sizes=(4,))
+        assert service.experiment(
+            ExperimentRequest(spec=SweepSpec(scheme="tree", family="nebula", sizes=(4,)))
         ).code == "invalid-param"
 
     def test_stats_request_through_handle(self, service):

@@ -287,6 +287,17 @@ class TestSweepCommand:
             main(["sweep", "--scheme", "tree", "--family", "path", "--sizes", "4,8",
                   "--shard", "3/2"])
 
+    def test_undecidable_sweep_exits_with_the_service_error(self, tmp_path, monkeypatch):
+        # Exact treedepth cannot decide these instances: the service answers
+        # ``undecidable`` and the command exits with its message, exactly as
+        # ``certify`` does, instead of dying with a raw traceback.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--scheme", "treedepth", "--param", "t=12",
+                  "--family", "random-tree", "--sizes", "64,256,1024"])
+        assert str(excinfo.value).startswith("error: cannot decide treedepth exactly")
+        assert not list(tmp_path.iterdir())  # no artifact for a failed run
+
     def test_sweep_measure_size_flag(self, tmp_path):
         artifact = tmp_path / "size.json"
         assert main(
