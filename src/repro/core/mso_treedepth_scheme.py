@@ -31,7 +31,7 @@ from repro.core.encoding import CertificateFormatError, CertificateReader, Certi
 from repro.core.scheme import CertificationScheme, Certificates, NotAYesInstance
 from repro.core.treedepth_scheme import TreedepthScheme, ModelBuilder, _decode as _decode_td
 from repro.graphs.utils import ensure_connected
-from repro.kernel.reduction import k_reduced_graph
+from repro.kernel.reduction import KernelizationResult, k_reduced_graph
 from repro.kernel.serialize import decode_type_table, encode_type_table, graph_from_type, topological_type_table
 from repro.kernel.types import VertexType
 from repro.logic.semantics import evaluate
@@ -39,17 +39,21 @@ from repro.logic.structure import quantifier_depth
 from repro.logic.syntax import Formula
 from repro.network.ids import IdentifierAssignment
 from repro.network.views import LocalView, NeighborInfo
-from repro.treedepth.decomposition import exact_treedepth
-from repro.treedepth.elimination_tree import EliminationTree, is_valid_model, make_coherent
+from repro.treedepth.decomposition import EXACT_TREEDEPTH_MAX_VERTICES, exact_treedepth
+from repro.treedepth.elimination_tree import EliminationTree
 
 Vertex = Hashable
 
-_EXACT_LIMIT = 18
 _KERNEL_MODEL_CHECK_LIMIT = 22
 
 
 class MSOTreedepthScheme(CertificationScheme):
-    """Certify "treedepth ≤ t and the graph satisfies φ" (Theorem 2.6)."""
+    """Certify "treedepth ≤ t and the graph satisfies φ" (Theorem 2.6).
+
+    Ground truth and the prover share one path: coherent model, k-reduction,
+    then a ``ValueError`` when the kernel has more than 22 vertices, too many
+    to model-check exactly.
+    """
 
     def __init__(
         self,
@@ -75,30 +79,24 @@ class MSOTreedepthScheme(CertificationScheme):
     # ------------------------------------------------------------------
 
     def holds(self, graph: nx.Graph) -> bool:
-        if not self._treedepth_ok(graph):
+        # Exact treedepth decides a no-instance without building a model
+        # (which would need a connected graph).
+        small = graph.number_of_nodes() <= EXACT_TREEDEPTH_MAX_VERTICES
+        if small and exact_treedepth(graph) > self.t:
             return False
-        kernel = self._kernelize(graph)
-        return evaluate(kernel.kernel_graph, self.formula, {})
-
-    def _treedepth_ok(self, graph: nx.Graph) -> bool:
-        if graph.number_of_nodes() <= _EXACT_LIMIT:
-            return exact_treedepth(graph) <= self.t
         model = self._coherent_model(graph)
-        return model is not None and model.depth <= self.t
+        if model is None:
+            return False
+        return evaluate(self._reduce(graph, model).kernel_graph, self.formula, {})
 
     def _coherent_model(self, graph: nx.Graph) -> Optional[EliminationTree]:
-        model = self._td_scheme._build_model(graph)
-        if model is None or not is_valid_model(graph, model):
-            return None
-        model = make_coherent(graph, model)
-        if model.depth > self.t:
+        model = self._td_scheme.coherent_model(graph)
+        if model is None or model.depth > self.t:
             return None
         return model
 
-    def _kernelize(self, graph: nx.Graph):
-        model = self._coherent_model(graph)
-        if model is None:
-            raise NotAYesInstance(f"no elimination tree of depth ≤ {self.t} available")
+    def _reduce(self, graph: nx.Graph, model: EliminationTree) -> KernelizationResult:
+        """The k-reduction of ``graph`` along ``model``, small enough to model-check."""
         result = k_reduced_graph(graph, model, self.k)
         if result.kernel_size > _KERNEL_MODEL_CHECK_LIMIT:
             raise ValueError(
@@ -117,16 +115,10 @@ class MSOTreedepthScheme(CertificationScheme):
         model = self._coherent_model(graph)
         if model is None:
             raise NotAYesInstance(f"no elimination tree of depth ≤ {self.t} available")
-        reduction = k_reduced_graph(graph, model, self.k)
-        if reduction.kernel_size > _KERNEL_MODEL_CHECK_LIMIT:
-            raise ValueError(
-                "kernel too large for exact model checking — see MSOTreedepthScheme docstring"
-            )
+        reduction = self._reduce(graph, model)
         if not evaluate(reduction.kernel_graph, self.formula, {}):
             raise NotAYesInstance("the kernel (hence the graph) does not satisfy the formula")
-        # Reuse the exact same coherent model for the treedepth layer.
-        td_scheme = TreedepthScheme(self.t, model_builder=lambda _graph: model)
-        td_certificates = td_scheme.prove(graph, ids)
+        td_certificates = self._td_scheme.certificates_for(graph, model, ids)
         # Type table shared by every vertex.
         table = topological_type_table(sorted(set(reduction.end_types.values()), key=repr))
         table_bytes = encode_type_table(table)

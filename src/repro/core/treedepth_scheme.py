@@ -29,7 +29,12 @@ from repro.core.spanning_tree import bfs_spanning_tree
 from repro.graphs.utils import ensure_connected
 from repro.network.ids import IdentifierAssignment
 from repro.network.views import LocalView
-from repro.treedepth.decomposition import exact_treedepth, optimal_elimination_tree, treedepth_upper_bound_dfs
+from repro.treedepth.decomposition import (
+    EXACT_TREEDEPTH_MAX_VERTICES,
+    exact_treedepth,
+    optimal_elimination_tree,
+    treedepth_upper_bound_dfs,
+)
 from repro.treedepth.elimination_tree import (
     EliminationTree,
     exit_vertex,
@@ -39,8 +44,6 @@ from repro.treedepth.elimination_tree import (
 
 Vertex = Hashable
 ModelBuilder = Callable[[nx.Graph], EliminationTree]
-
-_EXACT_LIMIT = 18
 
 
 class TreedepthScheme(CertificationScheme):
@@ -58,10 +61,10 @@ class TreedepthScheme(CertificationScheme):
     # ------------------------------------------------------------------
 
     def holds(self, graph: nx.Graph) -> bool:
-        if graph.number_of_nodes() <= _EXACT_LIMIT:
+        if graph.number_of_nodes() <= EXACT_TREEDEPTH_MAX_VERTICES:
             return exact_treedepth(graph) <= self.t
         model = self._build_model(graph)
-        if model is not None and is_valid_model(graph, model, depth=self.t):
+        if model is not None and model.depth <= self.t:
             return True
         raise ValueError(
             "cannot decide treedepth exactly on a graph this large; "
@@ -69,15 +72,22 @@ class TreedepthScheme(CertificationScheme):
         )
 
     def _build_model(self, graph: nx.Graph) -> Optional[EliminationTree]:
+        """A valid model of ``graph``, or None when the builder's is invalid."""
         if self.model_builder is not None:
             model = self.model_builder(graph)
             if is_valid_model(graph, model):
                 return model
             return None
-        if graph.number_of_nodes() <= _EXACT_LIMIT:
+        if graph.number_of_nodes() <= EXACT_TREEDEPTH_MAX_VERTICES:
             return optimal_elimination_tree(graph)
         depth, model = treedepth_upper_bound_dfs(graph)
         return model
+
+    def coherent_model(self, graph: nx.Graph) -> Optional[EliminationTree]:
+        """The coherent model the prover certifies (its depth unchecked), or
+        None when no valid model is available."""
+        model = self._build_model(graph)
+        return None if model is None else make_coherent(graph, model)
 
     # ------------------------------------------------------------------
     # Prover
@@ -85,14 +95,19 @@ class TreedepthScheme(CertificationScheme):
 
     def prove(self, graph: nx.Graph, ids: IdentifierAssignment) -> Certificates:
         ensure_connected(graph)
-        model = self._build_model(graph)
+        model = self.coherent_model(graph)
         if model is None:
             raise NotAYesInstance("no valid elimination tree available")
-        model = make_coherent(graph, model)
         if model.depth > self.t:
             raise NotAYesInstance(
                 f"the available elimination tree has depth {model.depth} > {self.t}"
             )
+        return self.certificates_for(graph, model, ids)
+
+    def certificates_for(
+        self, graph: nx.Graph, model: EliminationTree, ids: IdentifierAssignment
+    ) -> Certificates:
+        """The Section 5 certificates for a coherent model of depth at most ``t``."""
         # Spanning tree of G_x, rooted at the exit vertex, for every non-root x.
         spanning: Dict[Vertex, Tuple[Dict[Vertex, int], Dict[Vertex, Optional[Vertex]]]] = {}
         for x in model.vertices:

@@ -8,16 +8,21 @@ the paper counts the root at depth 0 and therefore reports "depth 2" for
 8-cycle-with-apex gadget has treedepth exactly 5 — so we adopt the
 vertex-counted convention everywhere and record the discrepancy here.)
 
-Exact treedepth is NP-hard, so :func:`exact_treedepth` is the textbook
-exponential recursion (with memoisation on vertex subsets) and is guarded by
-an instance-size limit.  :func:`treedepth_upper_bound_dfs` gives the cheap
-DFS-based upper bound used when we only need *some* valid model.
+Exact treedepth is NP-hard.  One exponential subset DP serves both the
+ground truth and the provers: it memoises the depth of every vertex subset
+(bitmask) it reaches, splitting disconnected subsets into components, and
+records for each connected subset the optimal root.  :func:`exact_treedepth`
+reads the depth and :func:`optimal_elimination_tree` reads the tree those
+roots spell out, from the same memoised solve.  Both refuse instances above
+:data:`EXACT_TREEDEPTH_MAX_VERTICES`.  :func:`treedepth_upper_bound_dfs`
+gives the cheap DFS-based upper bound used when we only need *some* valid
+model.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, FrozenSet, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 import networkx as nx
 
@@ -27,9 +32,9 @@ from repro.treedepth.elimination_tree import EliminationTree
 
 Vertex = Hashable
 
-_MAX_EXACT_VERTICES = 18
-"""Instances larger than this are rejected by the exact solver: the recursion
-explores subsets of the vertex set."""
+EXACT_TREEDEPTH_MAX_VERTICES = 18
+"""The largest instance the exact solver accepts (its DP ranges over vertex
+subsets).  The treedepth schemes decide ground truth exactly up to this size."""
 
 
 def treedepth_of_path(n: int) -> int:
@@ -100,15 +105,17 @@ def star_elimination_tree(star: nx.Graph) -> EliminationTree:
 
 
 @memoize_on_graph
-def exact_treedepth(graph: nx.Graph, max_vertices: int = _MAX_EXACT_VERTICES) -> int:
-    """Exact treedepth of a (small) graph (memoised on graph structure)."""
-    n = graph.number_of_nodes()
-    if n == 0:
-        return 0
-    if n > max_vertices:
-        raise ValueError(
-            f"exact treedepth limited to {max_vertices} vertices, got {n}"
-        )
+def _optimal_forest(graph: nx.Graph) -> EliminationTree:
+    """A minimum-depth elimination forest of a non-empty graph, by one subset DP.
+
+    ``depth(mask)`` is the treedepth of the subgraph induced by ``mask``: the
+    largest depth over its components, and for a connected mask one plus the
+    least depth left after removing one vertex.  Every reached mask is
+    memoised.  Each connected mask also records its optimal root: the first
+    vertex, in ascending bit order, that attains the least depth.  Reading
+    those roots back from the full mask builds the forest.
+    Memoised on graph structure; treat the result as read-only.
+    """
     vertices = tuple(sorted(graph.nodes(), key=repr))
     index = {v: i for i, v in enumerate(vertices)}
     adjacency: Tuple[int, ...] = tuple(
@@ -134,106 +141,74 @@ def exact_treedepth(graph: nx.Graph, max_vertices: int = _MAX_EXACT_VERTICES) ->
             remaining &= ~component
         return result
 
+    root_of: Dict[int, int] = {}
+
     @lru_cache(maxsize=None)
-    def td(mask: int) -> int:
-        if mask == 0:
-            return 0
-        count = bin(mask).count("1")
-        if count == 1:
+    def depth(mask: int) -> int:
+        if mask & (mask - 1) == 0:
+            root_of[mask] = mask
             return 1
         comps = components(mask)
         if len(comps) > 1:
-            return max(td(c) for c in comps)
-        best = count  # trivial upper bound: eliminate vertices one by one
+            return max(depth(c) for c in comps)
+        best = mask.bit_count() + 1
         remaining = mask
         while remaining:
             low = remaining & -remaining
             remaining &= remaining - 1
-            best = min(best, 1 + td(mask & ~low))
+            candidate = 1 + depth(mask & ~low)
+            if candidate < best:
+                best = candidate
+                root_of[mask] = low
         return best
-
-    full_mask = (1 << n) - 1
-    result = td(full_mask)
-    td.cache_clear()
-    return result
-
-
-@memoize_on_graph
-def optimal_elimination_tree(
-    graph: nx.Graph, max_vertices: int = _MAX_EXACT_VERTICES
-) -> EliminationTree:
-    """An elimination tree of minimum depth (exact, small graphs only;
-    memoised on graph structure — treat the result as read-only)."""
-    ensure_connected(graph)
-    n = graph.number_of_nodes()
-    if n > max_vertices:
-        raise ValueError(
-            f"exact elimination tree limited to {max_vertices} vertices, got {n}"
-        )
-    vertices = tuple(sorted(graph.nodes(), key=repr))
-    index = {v: i for i, v in enumerate(vertices)}
-    adjacency: Tuple[int, ...] = tuple(
-        sum(1 << index[w] for w in graph.neighbors(v)) for v in vertices
-    )
-
-    def components(mask: int) -> list[int]:
-        result = []
-        remaining = mask
-        while remaining:
-            start = remaining & -remaining
-            component = start
-            frontier = start
-            while frontier:
-                low = frontier & -frontier
-                i = low.bit_length() - 1
-                frontier &= frontier - 1
-                new = adjacency[i] & mask & ~component
-                component |= new
-                frontier |= new
-            result.append(component)
-            remaining &= ~component
-        return result
-
-    cache: Dict[int, Tuple[int, Optional[int]]] = {}
-
-    def solve(mask: int) -> Tuple[int, Optional[int]]:
-        """Return (treedepth, best_root_bit) for the *connected* subgraph ``mask``."""
-        if mask in cache:
-            return cache[mask]
-        count = bin(mask).count("1")
-        if count == 1:
-            cache[mask] = (1, mask)
-            return cache[mask]
-        best_depth = count + 1
-        best_root: Optional[int] = None
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            remaining &= remaining - 1
-            rest = mask & ~low
-            depth = 1
-            if rest:
-                depth = 1 + max(solve(component)[0] for component in components(rest))
-            if depth < best_depth:
-                best_depth = depth
-                best_root = low
-        cache[mask] = (best_depth, best_root)
-        return cache[mask]
 
     parent: Dict[Vertex, Optional[Vertex]] = {}
 
     def build(mask: int, parent_vertex: Optional[Vertex]) -> None:
         for component in components(mask):
-            _, root_bit = solve(component)
+            root_bit = root_of[component]
             root_vertex = vertices[root_bit.bit_length() - 1]
             parent[root_vertex] = parent_vertex
             rest = component & ~root_bit
             if rest:
                 build(rest, root_vertex)
 
-    full_mask = (1 << n) - 1
+    full_mask = (1 << len(vertices)) - 1
+    depth(full_mask)
     build(full_mask, None)
+    # The recursive closures form a reference cycle: free the memo now, not
+    # at the next garbage collection.
+    depth.cache_clear()
+    root_of.clear()
     return EliminationTree(parent)
+
+
+def exact_treedepth(
+    graph: nx.Graph, max_vertices: int = EXACT_TREEDEPTH_MAX_VERTICES
+) -> int:
+    """Exact treedepth of a (small) graph."""
+    n = graph.number_of_nodes()
+    if n == 0:
+        return 0
+    if n > max_vertices:
+        raise ValueError(
+            f"exact treedepth limited to {max_vertices} vertices, got {n}"
+        )
+    return _optimal_forest(graph).depth
+
+
+def optimal_elimination_tree(
+    graph: nx.Graph, max_vertices: int = EXACT_TREEDEPTH_MAX_VERTICES
+) -> EliminationTree:
+    """An elimination tree of minimum depth (exact, small connected graphs
+    only; memoised on graph structure — treat the result as read-only)."""
+    ensure_connected(graph)
+    n = graph.number_of_nodes()
+    if n > max_vertices:
+        raise ValueError(
+            f"exact elimination tree limited to {max_vertices} vertices, got {n}"
+        )
+    return _optimal_forest(graph)
 
 
 def treedepth_upper_bound_dfs(graph: nx.Graph) -> Tuple[int, EliminationTree]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import networkx as nx
 import pytest
 
@@ -10,6 +12,9 @@ from repro.core.scheme import NotAYesInstance, evaluate_scheme, soundness_under_
 from repro.graphs.generators import bounded_treedepth_graph, path_graph, star_graph
 from repro.logic import properties
 from repro.network.ids import assign_identifiers
+from repro.registry import REGISTRY
+from repro.service.core import CertificationService
+from repro.service.protocol import encode_line, handle_line
 
 
 class TestCompleteness:
@@ -89,3 +94,24 @@ class TestKernelSizeIndependence:
     def test_explicit_k_override(self):
         scheme = MSOTreedepthScheme(properties.has_dominating_vertex(), t=2, k=3)
         assert scheme.k == 3
+
+
+class TestKernelTooLarge:
+    def test_holds_prove_and_wire_share_one_message(self):
+        """A 25-reduction keeps every leaf of a 23-leaf star: the 24-vertex
+        kernel is refused alike by ground truth, the prover and the wire."""
+        params = {"t": 2, "k": 25, "model": "star"}
+        scheme = REGISTRY.create("mso-treedepth", params)
+        graph = star_graph(23)
+        with pytest.raises(ValueError) as from_holds:
+            scheme.holds(graph)
+        with pytest.raises(ValueError) as from_prove:
+            scheme.prove(graph, assign_identifiers(graph, seed=0))
+        with CertificationService(workers=1) as service:
+            line, _ = handle_line(service, encode_line({
+                "op": "certify", "scheme": "mso-treedepth", "params": params, "graph": "star:24",
+            }))
+        payload = json.loads(line)
+        assert payload["ok"] is False and payload["code"] == "undecidable"
+        assert "the 25-reduced kernel has 24 vertices" in payload["message"]
+        assert str(from_holds.value) == str(from_prove.value) == payload["message"]
