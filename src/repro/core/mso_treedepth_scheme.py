@@ -23,10 +23,11 @@ children of that type.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 import networkx as nx
 
+from repro.caching import LRUCache, memoize_on_graph, register_cache
 from repro.core.encoding import CertificateFormatError, CertificateReader, CertificateWriter
 from repro.core.scheme import CertificationScheme, Certificates, NotAYesInstance
 from repro.core.treedepth_scheme import TreedepthScheme, ModelBuilder, _decode as _decode_td
@@ -84,27 +85,8 @@ class MSOTreedepthScheme(CertificationScheme):
         small = graph.number_of_nodes() <= EXACT_TREEDEPTH_MAX_VERTICES
         if small and exact_treedepth(graph) > self.t:
             return False
-        model = self._coherent_model(graph)
-        if model is None:
-            return False
-        return evaluate(self._reduce(graph, model).kernel_graph, self.formula, {})
-
-    def _coherent_model(self, graph: nx.Graph) -> Optional[EliminationTree]:
-        model = self._td_scheme.coherent_model(graph)
-        if model is None or model.depth > self.t:
-            return None
-        return model
-
-    def _reduce(self, graph: nx.Graph, model: EliminationTree) -> KernelizationResult:
-        """The k-reduction of ``graph`` along ``model``, small enough to model-check."""
-        result = k_reduced_graph(graph, model, self.k)
-        if result.kernel_size > _KERNEL_MODEL_CHECK_LIMIT:
-            raise ValueError(
-                f"the {self.k}-reduced kernel has {result.kernel_size} vertices, "
-                f"too large for exact MSO model checking; "
-                "use a formula of smaller quantifier depth or a smaller t"
-            )
-        return result
+        instance = _kernel_instance(graph, self.t, self.k, self.formula, self.model_builder)
+        return instance is not None and instance.satisfied
 
     # ------------------------------------------------------------------
     # Prover
@@ -112,12 +94,12 @@ class MSOTreedepthScheme(CertificationScheme):
 
     def prove(self, graph: nx.Graph, ids: IdentifierAssignment) -> Certificates:
         ensure_connected(graph)
-        model = self._coherent_model(graph)
-        if model is None:
+        instance = _kernel_instance(graph, self.t, self.k, self.formula, self.model_builder)
+        if instance is None:
             raise NotAYesInstance(f"no elimination tree of depth ≤ {self.t} available")
-        reduction = self._reduce(graph, model)
-        if not evaluate(reduction.kernel_graph, self.formula, {}):
+        if not instance.satisfied:
             raise NotAYesInstance("the kernel (hence the graph) does not satisfy the formula")
+        model, reduction = instance.model, instance.reduction
         td_certificates = self._td_scheme.certificates_for(graph, model, ids)
         # Type table shared by every vertex.
         table = topological_type_table(sorted(set(reduction.end_types.values()), key=repr))
@@ -183,22 +165,8 @@ class MSOTreedepthScheme(CertificationScheme):
             if neighbor_types and type_indices and neighbor_types[-1] != type_indices[-1]:
                 return False
         # 4. Decode the table, reconstruct the kernel, check the formula.
-        try:
-            table = decode_type_table(table_bytes)
-        except CertificateFormatError:
-            return False
-        if any(i >= len(table) for i in type_indices):
-            return False
-        root_type = table[type_indices[-1]]
-        if len(root_type.ancestor_vector) != 0:
-            return False
-        try:
-            kernel_graph, _kernel_tree = graph_from_type(root_type)
-        except ValueError:
-            return False
-        if kernel_graph.number_of_nodes() > _KERNEL_MODEL_CHECK_LIMIT:
-            return False
-        if not evaluate(kernel_graph, self.formula, {}):
+        table = _checked_type_table(self.formula, table_bytes, type_indices[-1])
+        if table is None or any(i >= len(table) for i in type_indices):
             return False
         # 5. My adjacency to my ancestors must match my end type's ancestor vector.
         my_type = table[type_indices[0]]
@@ -267,6 +235,76 @@ class MSOTreedepthScheme(CertificationScheme):
                 return None
             children[child_id] = report
         return children
+
+
+class _KernelInstance(NamedTuple):
+    model: EliminationTree
+    reduction: KernelizationResult
+    satisfied: bool
+
+
+@memoize_on_graph
+def _kernel_instance(
+    graph: nx.Graph,
+    t: int,
+    k: int,
+    formula: Formula,
+    model_builder: Optional[ModelBuilder],
+) -> Optional[_KernelInstance]:
+    """Coherent model of depth ≤ ``t``, its ``k``-reduction and whether the
+    kernel satisfies ``formula``; None when no such model is available.
+
+    Raises ``ValueError`` when the kernel has more than 22 vertices, too many
+    to model-check exactly.  Memoised on graph structure and the arguments,
+    so a yes-instance's ``holds`` and ``prove`` build it once.
+    """
+    model = TreedepthScheme(t, model_builder=model_builder).coherent_model(graph)
+    if model is None or model.depth > t:
+        return None
+    reduction = k_reduced_graph(graph, model, k)
+    if reduction.kernel_size > _KERNEL_MODEL_CHECK_LIMIT:
+        raise ValueError(
+            f"the {k}-reduced kernel has {reduction.kernel_size} vertices, "
+            f"too large for exact MSO model checking; "
+            "use a formula of smaller quantifier depth or a smaller t"
+        )
+    return _KernelInstance(model, reduction, evaluate(reduction.kernel_graph, formula, {}))
+
+
+_KERNEL_CHECKS = register_cache("kernel-checks", LRUCache(maxsize=256))
+
+
+def _checked_type_table(
+    formula: Formula, table_bytes: bytes, root_index: int
+) -> Optional[Tuple[VertexType, ...]]:
+    """The decoded type table when the kernel its ``root_index`` entry spells
+    out satisfies ``formula``, else None (malformed table, bad root type,
+    kernel too large to model-check, or the formula fails).
+
+    Every vertex of an honest certificate carries the same table and root
+    index, so the verifier memoises this check (cache ``kernel-checks``)
+    instead of rebuilding and model-checking the kernel at each vertex.
+    """
+
+    def check() -> Optional[Tuple[VertexType, ...]]:
+        try:
+            table = tuple(decode_type_table(table_bytes))
+        except CertificateFormatError:
+            return None
+        if root_index >= len(table):
+            return None
+        root_type = table[root_index]
+        if len(root_type.ancestor_vector) != 0:
+            return None
+        try:
+            kernel_graph, _kernel_tree = graph_from_type(root_type)
+        except ValueError:
+            return None
+        if kernel_graph.number_of_nodes() > _KERNEL_MODEL_CHECK_LIMIT:
+            return None
+        return table if evaluate(kernel_graph, formula, {}) else None
+
+    return _KERNEL_CHECKS.get_or_compute((formula, table_bytes, root_index), check)
 
 
 def _decode_kernel_certificate(

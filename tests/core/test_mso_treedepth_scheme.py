@@ -7,11 +7,15 @@ import json
 import networkx as nx
 import pytest
 
-from repro.core.mso_treedepth_scheme import MSOTreedepthScheme
+from repro.caching import cache_stats, cache_stats_since, clear_caches
+from repro.core import mso_treedepth_scheme
+from repro.core.encoding import CertificateWriter
+from repro.core.mso_treedepth_scheme import MSOTreedepthScheme, _decode_kernel_certificate
 from repro.core.scheme import NotAYesInstance, evaluate_scheme, soundness_under_corruption
 from repro.graphs.generators import bounded_treedepth_graph, path_graph, star_graph
 from repro.logic import properties
 from repro.network.ids import assign_identifiers
+from repro.network.simulator import NetworkSimulator
 from repro.registry import REGISTRY
 from repro.service.core import CertificationService
 from repro.service.protocol import encode_line, handle_line
@@ -67,8 +71,6 @@ class TestSoundness:
     def test_kernel_swap_between_instances_rejected(self):
         """Certificates honestly produced for a star must not certify a
         path against the dominating-vertex property (the path has none)."""
-        from repro.network.simulator import NetworkSimulator
-
         scheme = MSOTreedepthScheme(properties.has_dominating_vertex(), t=3, name="dom")
         star = star_graph(4)
         path = path_graph(5)
@@ -115,3 +117,101 @@ class TestKernelTooLarge:
         assert payload["ok"] is False and payload["code"] == "undecidable"
         assert "the 25-reduced kernel has 24 vertices" in payload["message"]
         assert str(from_holds.value) == str(from_prove.value) == payload["message"]
+
+
+def _rewrite_kernel_layer(certificates, table=None, root_index=None):
+    """Certificates with every vertex's type table and/or root end-type index
+    replaced consistently, so the neighbourhood agreement checks still pass."""
+    rewritten = {}
+    for vertex, certificate in certificates.items():
+        td_cert, pruned_flags, type_indices, table_bytes = _decode_kernel_certificate(certificate)
+        if root_index is not None:
+            type_indices = type_indices[:-1] + [root_index]
+        writer = CertificateWriter()
+        writer.write_bytes(td_cert)
+        writer.write_bool_list(pruned_flags)
+        writer.write_uint_list(type_indices)
+        writer.write_bytes(table_bytes if table is None else table(table_bytes))
+        rewritten[vertex] = writer.getvalue()
+    return rewritten
+
+
+class TestKernelCheckCache:
+    """The verifier model-checks the kernel once per (formula, table, root type)."""
+
+    @pytest.fixture()
+    def star(self):
+        clear_caches()
+        graph = star_graph(6)
+        ids = assign_identifiers(graph, seed=0, sequential=True)
+        scheme = MSOTreedepthScheme(properties.has_dominating_vertex(), t=2, name="dom")
+        return graph, ids, scheme, scheme.prove(graph, ids)
+
+    def _accepted(self, scheme, graph, ids, certificates) -> bool:
+        return NetworkSimulator(graph, identifiers=ids).run(scheme.verify, certificates).accepted
+
+    def test_one_model_check_per_certificate_table(self, star):
+        graph, ids, scheme, certificates = star
+        before = cache_stats()
+        assert self._accepted(scheme, graph, ids, certificates)
+        counters = cache_stats_since(before)["kernel-checks"]
+        assert counters["misses"] == 1
+        assert counters["hits"] == graph.number_of_nodes() - 1
+
+    def test_tampered_table_still_rejects(self, star):
+        graph, ids, scheme, certificates = star
+        assert self._accepted(scheme, graph, ids, certificates)
+        truncated = _rewrite_kernel_layer(certificates, table=lambda table: table[:-1])
+        assert not self._accepted(scheme, graph, ids, truncated)
+        flipped = _rewrite_kernel_layer(
+            certificates, table=lambda table: table[:-1] + bytes([table[-1] ^ 1])
+        )
+        assert not self._accepted(scheme, graph, ids, flipped)
+
+    def test_tampered_root_type_index_still_rejects(self, star):
+        graph, ids, scheme, certificates = star
+        assert self._accepted(scheme, graph, ids, certificates)
+        honest_root = _decode_kernel_certificate(next(iter(certificates.values())))[2][-1]
+        for root_index in {0, 1, 2, 99} - {honest_root}:
+            tampered = _rewrite_kernel_layer(certificates, root_index=root_index)
+            assert not self._accepted(scheme, graph, ids, tampered), root_index
+
+    def test_formulas_do_not_share_a_verdict(self, star):
+        """Same table bytes, same k, different formula: the triangle check
+        must fail on the star kernel even after the dominating-vertex check
+        passed on it."""
+        graph, ids, scheme, certificates = star
+        triangle = MSOTreedepthScheme(properties.has_triangle(), t=2, k=scheme.k, name="tri")
+        before = cache_stats()
+        assert self._accepted(scheme, graph, ids, certificates)
+        assert not self._accepted(triangle, graph, ids, certificates)
+        assert cache_stats_since(before)["kernel-checks"]["misses"] == 2
+
+    def test_clear_caches_empties_the_cache(self, star):
+        graph, ids, scheme, certificates = star
+        assert self._accepted(scheme, graph, ids, certificates)
+        assert cache_stats()["kernel-checks"]["size"] == 1
+        clear_caches()
+        assert cache_stats()["kernel-checks"] == {"hits": 0, "misses": 0, "size": 0}
+
+
+class TestOneKernelInstance:
+    def test_cold_yes_instance_certify_reduces_once(self, monkeypatch):
+        """Ground truth and prover share one coherent model and k-reduction."""
+        calls = []
+        real = mso_treedepth_scheme.k_reduced_graph
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mso_treedepth_scheme, "k_reduced_graph", counting)
+        clear_caches()
+        with CertificationService(workers=1) as service:
+            line, _ = handle_line(service, encode_line({
+                "op": "certify", "scheme": "mso-treedepth", "params": {"t": 2}, "graph": "star:9",
+            }))
+        payload = json.loads(line)
+        assert payload["ok"] is True
+        assert payload["result"]["holds"] is True and payload["result"]["accepted"] is True
+        assert len(calls) == 1
